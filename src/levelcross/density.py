@@ -41,7 +41,9 @@ from .errors import (
     DegeneratePointError,
 )
 from .model import BasisFamily, CoefficientProfile, ComplexLevel, TimeGrid, as_level, build_brownian_basis
-from .numerics import diff_of_products, neumaier_sum
+# The density does not call neumaier_sum; the name stays bound here because
+# the benchmark tracer wraps it at this module.
+from .numerics import diff_of_products, neumaier_sum  # noqa: F401
 
 __all__ = [
     "DensityParts",
@@ -147,30 +149,63 @@ def _col(arr: np.ndarray, ndim: int) -> np.ndarray:
     return arr.reshape(arr.shape + (1,) * ndim)
 
 
-def _covariance_parts(profile, basis, z):
+def _weighted_sums(weights, vals, derivs, linear: bool):
+    """Every weight row summed against every basis product, in one matmul.
+
+    With f = u + iv and f' = P + iQ the products are u^2, v^2, uv, uP, vQ,
+    uQ, vP, P^2 + Q^2 and, if ``linear``, also u, v, P, Q.  Returns the
+    sums over the index axis with shape (rows, products) + z.shape.
+    """
+    n = vals.shape[0]
+    u, v, p, q = vals.real, vals.imag, derivs.real, derivs.imag
+    prods = np.empty((n, 12 if linear else 8) + vals.shape[1:])
+    for row, (x, y) in enumerate(((u, u), (v, v), (u, v), (u, p), (v, q), (u, q), (v, p), (p, p))):
+        np.multiply(x, y, out=prods[:, row])
+    prods[:, 7] += q * q
+    if linear:
+        prods[:, 8], prods[:, 9], prods[:, 10], prods[:, 11] = u, v, p, q
+    sums = weights @ prods.reshape(n, -1)
+    return sums.reshape((weights.shape[0],) + prods.shape[1:])
+
+
+def _covariance_parts(profile, basis, z, means: bool = False):
     """Plain quadratic forms at z: y1, y2, y3, det, d0, d1, d2, d3.
+
+    With ``means`` also ex1, ex2 and m of the mean field.  The forms are
+    sums of products weighted by var_a and var_b (and mu_a, mu_b), reduced
+    together by ``_weighted_sums``.  Plain summation is enough for them: y1,
+    y3 and d3 add nonnegative terms, and the one cancellation that matters,
+    y1*y3 - y2^2, goes through the compensated ``diff_of_products``.
 
     Raises ``DegenerateCovarianceError`` when the determinant falls below the
     relative floor; the density is undefined there.
     """
     z = np.asarray(z, dtype=np.complex128)
     vals, derivs = basis.values_and_derivatives(z)
-    u, v = vals.real, vals.imag
-    va = _col(profile.var_a, z.ndim)
-    vb = _col(profile.var_b, z.ndim)
-    y1 = neumaier_sum(va * u * u + vb * v * v)
-    y2 = neumaier_sum((va - vb) * u * v)
-    y3 = neumaier_sum(vb * u * u + va * v * v)
-    d1 = neumaier_sum((va * u - 1j * vb * v) * derivs)
-    d2 = neumaier_sum((vb * u - 1j * va * v) * derivs)
-    d3 = neumaier_sum((va + vb) * (derivs.real**2 + derivs.imag**2))
+    rows = (profile.var_a, profile.var_b) + ((profile.mu_a, profile.mu_b) if means else ())
+    sums = _weighted_sums(np.stack(rows), vals, derivs, linear=means)
+    a_uu, a_vv, a_uv, a_up, a_vq, a_uq, a_vp, a_pp = sums[0, :8]
+    b_uu, b_vv, b_uv, b_up, b_vq, b_uq, b_vp, b_pp = sums[1, :8]
+    y1 = a_uu + b_vv
+    y2 = a_uv - b_uv
+    y3 = b_uu + a_vv
+    d1 = (a_up + b_vq) + 1j * (a_uq - b_vp)
+    d2 = (b_up + a_vq) + 1j * (b_uq - a_vp)
+    d3 = a_pp + b_pp
     det = diff_of_products(y1, y3, y2, y2)
     if np.any(det <= _DEGENERACY_FLOOR * y1 * y3):
         raise DegenerateCovarianceError(
             "covariance of (Re S, Im S) is numerically singular at an evaluation point"
         )
     d0 = np.sqrt(det)
-    return vals, derivs, y1, y2, y3, det, d0, d1, d2, d3
+    if not means:
+        return y1, y2, y3, det, d0, d1, d2, d3
+    ma_u, ma_v, ma_p, ma_q = sums[2, 8:]
+    mb_u, mb_v, mb_p, mb_q = sums[3, 8:]
+    ex1 = ma_u - mb_v
+    ex2 = ma_v + mb_u
+    m = (ma_p - mb_q) + 1j * (ma_q + mb_p)
+    return y1, y2, y3, det, d0, d1, d2, d3, ex1, ex2, m
 
 
 def _zero_mean_h(y1, y2, y3, det, d0, d1, d2, d3, k1, k2):
@@ -182,12 +217,14 @@ def _zero_mean_h(y1, y2, y3, det, d0, d1, d2, d3, k1, k2):
     ad2 = d2.real**2 + d2.imag**2
     d12 = d1 + 1j * d2
     ad12 = d12.real**2 + d12.imag**2
-    d0_cubed = d0 * det
+    # q/d0^3 is taken as (q/det)/d0: d0*det overflows from |z| of about 20
+    # at degree 40, while each quotient stays in range.
+    r_d0 = r / d0
     braces = (
         d3
-        - (ad1 / d0) * ((y2 + y3) / d0 - q1 * r / d0_cubed)
-        - (ad2 / d0) * ((y1 + y2) / d0 - q2 * r / d0_cubed)
-        + (ad12 / d0) * (y2 / d0 - q1 * q2 / d0_cubed)
+        - (ad1 / d0) * ((y2 + y3) / d0 - (q1 / det) * r_d0)
+        - (ad2 / d0) * ((y1 + y2) / d0 - (q2 / det) * r_d0)
+        + (ad12 / d0) * (y2 / d0 - (q1 / det) * (q2 / d0))
     )
     expo = -(k1 * k1 * y3 + k2 * k2 * y1 - 2.0 * k1 * k2 * y2) / (2.0 * det)
     return np.exp(expo) / (2.0 * np.pi * d0) * braces
@@ -210,7 +247,7 @@ def zero_mean_density(profile: CoefficientProfile, basis: BasisFamily, level, z)
             "zero_mean_density requires a zero-mean profile; use general_mean_density"
         )
     level = as_level(level)
-    _, _, y1, y2, y3, det, d0, d1, d2, d3 = _covariance_parts(profile, basis, z)
+    y1, y2, y3, det, d0, d1, d2, d3 = _covariance_parts(profile, basis, z)
     h = _zero_mean_h(y1, y2, y3, det, d0, d1, d2, d3, level.k1, level.k2)
     return DensityParts(y1=y1, y2=y2, y3=y3, d0=d0, d1=d1, d2=d2, d3=d3, h=h)
 
@@ -226,9 +263,9 @@ def equal_variance_density(sigma2: float, basis: BasisFamily, level, z) -> Equal
     level = as_level(level)
     z = np.asarray(z, dtype=np.complex128)
     vals, derivs = basis.values_and_derivatives(z)
-    b0 = neumaier_sum(vals.real**2 + vals.imag**2)
-    b1 = neumaier_sum(np.conj(vals) * derivs)
-    b2 = neumaier_sum(derivs.real**2 + derivs.imag**2)
+    b0 = np.sum(vals.real**2 + vals.imag**2, axis=0)
+    b1 = np.sum(np.conj(vals) * derivs, axis=0)
+    b2 = np.sum(derivs.real**2 + derivs.imag**2, axis=0)
     if np.any(b0 <= 0.0):
         raise DegeneratePointError("all basis functions vanish at an evaluation point")
     ksq = level.k1**2 + level.k2**2
@@ -254,13 +291,9 @@ def general_mean_density(profile: CoefficientProfile, basis: BasisFamily, level,
     """
     _check_sizes(profile, basis)
     level = as_level(level)
-    zarr = np.asarray(z, dtype=np.complex128)
-    vals, derivs, y1, y2, y3, det, d0, d1, d2, d3 = _covariance_parts(profile, basis, zarr)
-    ma = _col(profile.mu_a, zarr.ndim)
-    mb = _col(profile.mu_b, zarr.ndim)
-    ex1 = neumaier_sum(ma * vals.real - mb * vals.imag)
-    ex2 = neumaier_sum(ma * vals.imag + mb * vals.real)
-    m = neumaier_sum((ma + 1j * mb) * derivs)
+    y1, y2, y3, det, d0, d1, d2, d3, ex1, ex2, m = _covariance_parts(
+        profile, basis, z, means=True
+    )
 
     kt1 = level.k1 - ex1
     kt2 = level.k2 - ex2
@@ -313,7 +346,7 @@ def zero_level_density(profile: CoefficientProfile, basis: BasisFamily, z):
     _check_sizes(profile, basis)
     if not profile.has_zero_means:
         raise ContractViolationError("zero_level_density requires a zero-mean profile")
-    _, _, y1, y2, y3, det, d0, d1, d2, d3 = _covariance_parts(profile, basis, z)
+    y1, y2, y3, det, d0, d1, d2, d3 = _covariance_parts(profile, basis, z)
     ad1 = d1.real**2 + d1.imag**2
     ad2 = d2.real**2 + d2.imag**2
     d12 = d1 + 1j * d2

@@ -253,14 +253,6 @@ class BasisFamily(ABC):
     def values_and_derivatives(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Return (values, derivatives) stacked over the family index."""
 
-    def eval(self, j: int, z):
-        """Value f_j(z)."""
-        return self.values_and_derivatives(z)[0][j]
-
-    def eval_deriv(self, j: int, z):
-        """Derivative f_j'(z)."""
-        return self.values_and_derivatives(z)[1][j]
-
     def polynomial_coefficients(self, eta: np.ndarray) -> np.ndarray | None:
         """Monomial coefficients of sum_j eta_j f_j, or None if not a polynomial family.
 
@@ -288,10 +280,17 @@ class MonomialBasis(BasisFamily):
 
     def values_and_derivatives(self, z):
         z = np.asarray(z, dtype=np.complex128)
-        j = np.arange(self.count).reshape((self.count,) + (1,) * z.ndim)
-        # z^j with 0^0 = 1; derivative j*z^(j-1) with the j=0 row zero.
-        vals = np.where(j == 0, 1.0 + 0.0j, z[None, ...] ** j)
-        derivs = np.where(j == 0, 0.0 + 0.0j, j * z[None, ...] ** np.maximum(j - 1, 0))
+        # z^j as a running product down the index axis, with 0^0 = 1: exact
+        # on the real axis, and no complex power per entry.
+        factors = np.empty((self.count,) + z.shape, dtype=np.complex128)
+        factors[0] = 1.0
+        factors[1:] = z
+        vals = np.cumprod(factors, axis=0)
+        # Derivative j*z^(j-1), with the j=0 row exactly zero.
+        derivs = np.empty_like(vals)
+        derivs[0] = 0.0
+        j = np.arange(1.0, self.count).reshape((self._degree,) + (1,) * z.ndim)
+        np.multiply(vals[:-1], j, out=derivs[1:])
         return vals, derivs
 
     def polynomial_coefficients(self, eta):

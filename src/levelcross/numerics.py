@@ -1,9 +1,15 @@
-"""Compensated floating-point accumulation helpers.
+"""Floating-point helpers for the density assembly.
 
-The density formulas subtract quantities of similar magnitude (most notably
-Y1*Y3 - Y2^2, whose square root scales the whole density), so the real
-accumulators use Neumaier summation and the determinant is formed as an
+The quadratic forms of the density (y1, y2, y3, d1, d2, d3 and the mean
+sums) are plain sums, reduced together as one weighted matmul in
+``density._covariance_parts``.  Compensation buys nothing there: y1, y3 and
+d3 add nonnegative terms (Higham, *Accuracy and Stability of Numerical
+Algorithms*, section 4).  The cancellation that matters is the determinant
+Y1*Y3 - Y2^2, whose square root scales the whole density; it is formed as an
 exactly-compensated difference of products via Dekker splitting.
+
+``neumaier_sum`` is not on the density path; it is kept because the
+benchmark tracer (``bench/tracing.py``) wraps it by name.
 """
 
 from __future__ import annotations

@@ -124,8 +124,10 @@ def integrate_density(
     ``tolerance = max(abs_tol, rel_tol * |current total|)``; once every cell
     is within budget, the total error is within tolerance.  Exceeding
     ``max_cells`` returns the best estimate with ``converged=False`` rather
-    than raising.  Evaluator exceptions (e.g. degenerate points inside the
-    region) propagate to the caller.
+    than raising, and so does a non-finite cell value or error (the
+    evaluator overflowed somewhere in the region): refining cannot repair
+    it, and a NaN error would never exceed its budget.  Evaluator exceptions
+    (e.g. degenerate points inside the region) propagate to the caller.
 
     The final reduction sums cell contributions in fixed spatial list order,
     so the result does not depend on evaluation scheduling.
@@ -137,6 +139,10 @@ def integrate_density(
     area_total = region.area
     cells = [_evaluate_cell(evaluator, region.x_min, region.x_max, region.y_min, region.y_max)]
     while True:
+        if not all(math.isfinite(c.value) and math.isfinite(c.error) for c in cells):
+            # Plain sums: math.fsum raises on inf - inf.
+            total = sum(c.value for c in cells)
+            return QuadratureResult(total, sum(c.error for c in cells), len(cells), False)
         total = math.fsum(c.value for c in cells)
         error = math.fsum(c.error for c in cells)
         tolerance = max(abs_tol, rel_tol * abs(total))

@@ -91,13 +91,3 @@ def standard_normal_block(seed: int, trials: int, slots: int) -> np.ndarray:
     state = _stream_state(seed, trial_idx, slot_idx)
     u1, u2 = _uniform_pair(state)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
-
-
-def normal_block(seed: int, trials: int, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """N(mu_s, sigma_s^2) draws per slot, shape ``(trials, len(mu))``."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma < 0.0):
-        raise ValueError("sigma entries must be >= 0")
-    z = standard_normal_block(seed, trials, mu.size)
-    return mu[None, :] + sigma[None, :] * z

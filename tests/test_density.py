@@ -18,6 +18,7 @@ from levelcross import (
     diagonal_level_density,
     equal_variance_density,
     general_mean_density,
+    moments_path_density,
     zero_level_density,
     zero_mean_density,
 )
@@ -272,6 +273,17 @@ class TestContractsAndErrors:
             zero_mean_density(CoefficientProfile.iid(2), shared_zero, 0j, 0.0j)
         with pytest.raises(DegeneratePointError):
             equal_variance_density(1.0, shared_zero, 0j, 0.0j)
+
+    def test_no_overflow_at_degree_40_far_out(self, rng):
+        # d0^3 = d0*det is out of double range here; the assembly divides
+        # before it multiplies.
+        profile = random_zero_mean_profile(rng, 41, 0.5, 2.0)
+        basis = MonomialBasis(40)
+        level = ComplexLevel(1.0, 0.5)
+        z = 20.0 + 20.0j
+        with np.errstate(over="raise", invalid="raise"):
+            h = float(zero_mean_density(profile, basis, level, z).h)
+        assert rel_dev(h, moments_path_density(profile, basis, level, z)) < 1e-9
 
     def test_vectorized_matches_scalar(self, rng):
         profile = random_zero_mean_profile(rng, 4)

@@ -124,6 +124,22 @@ class TestBases:
             expected = j * z ** (j - 1) if j else np.zeros_like(z)
             np.testing.assert_allclose(derivs[j], expected)
 
+    def test_monomial_high_degree_products(self, rng):
+        # Degree 40 built by running products: close to z**j off the axis,
+        # exactly real on it, and derivative row 0 exactly zero.
+        basis = MonomialBasis(40)
+        j = np.arange(41)[:, None]
+        z = 2.0 * np.sqrt(rng.uniform(size=50)) * np.exp(2j * np.pi * rng.uniform(size=50))
+        vals, derivs = basis.values_and_derivatives(z)
+        expected = z[None, :] ** j
+        assert np.max(np.abs(vals - expected) / np.abs(expected)) < 1e-13
+        expected_deriv = j[1:] * z[None, :] ** (j[1:] - 1)
+        assert np.max(np.abs(derivs[1:] - expected_deriv) / np.abs(expected_deriv)) < 1e-13
+        assert np.all(derivs[0] == 0)
+        x = rng.uniform(-2.0, 2.0, 50).astype(np.complex128)
+        vals, derivs = basis.values_and_derivatives(x)
+        assert np.all(vals.imag == 0) and np.all(derivs.imag == 0)
+
     def test_monomial_derivative_at_origin(self):
         vals, derivs = MonomialBasis(2).values_and_derivatives(0.0 + 0.0j)
         np.testing.assert_array_equal(vals, [1.0, 0.0, 0.0])

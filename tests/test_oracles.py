@@ -110,8 +110,8 @@ def test_moments_path_rejects_nonzero_means():
 
 
 def test_high_degree_stays_conditioned(rng):
-    # Degree 40: the compensated accumulations keep the closed form glued to
-    # the O(n^2) conditioning oracle despite wide dynamic range.
+    # Degree 40: the closed form stays glued to the O(n^2) conditioning
+    # oracle despite wide dynamic range.
     n = 41
     profile = random_mean_profile(rng, n, mean_scale=0.5)
     basis = MonomialBasis(n - 1)
@@ -122,3 +122,25 @@ def test_high_degree_stays_conditioned(rng):
         oracle = conditioned_jacobian_density(profile, basis, level, z)
         assert rel_dev(closed, oracle) < 1e-9
         assert closed >= 0.0
+
+
+@pytest.mark.parametrize("with_means", [False, True])
+def test_high_degree_matches_oracle_across_radii(rng, with_means):
+    # Degree 40 at 24 points with log-uniform radius in [0.25, 8]: the band of
+    # width about 1/N around |z| = 1 and the start of the 1/|z|^4 tail, where
+    # the quadratic forms span more than 70 orders of magnitude.
+    n = 41
+    if with_means:
+        profile = CoefficientProfile(rng.uniform(-1, 1, n), rng.uniform(0.5, 2, n),
+                                     rng.uniform(-1, 1, n), rng.uniform(0.5, 2, n))
+    else:
+        profile = random_zero_mean_profile(rng, n, 0.5, 2.0)
+    basis = MonomialBasis(n - 1)
+    level = ComplexLevel(1.0, 0.5)
+    radius = np.exp(rng.uniform(np.log(0.25), np.log(8.0), 24))
+    points = radius * np.exp(2j * np.pi * rng.uniform(size=24))
+    closed = (general_mean_density if with_means else zero_mean_density)(
+        profile, basis, level, points).h
+    oracle = conditioned_jacobian_density if with_means else moments_path_density
+    for z, h in zip(points, closed):
+        assert rel_dev(h, oracle(profile, basis, level, z)) < 1e-9

@@ -5,11 +5,14 @@ import pytest
 from scipy.integrate import quad
 
 from levelcross import (
+    CoefficientProfile,
     ConfigurationError,
     MonomialBasis,
     Rectangle,
     equal_variance_density,
+    general_mean_density,
     integrate_density,
+    zero_mean_density,
 )
 from levelcross.quadrature import GAUSS_INDEX, GAUSS_WEIGHTS, KRONROD_NODES, KRONROD_WEIGHTS
 
@@ -95,6 +98,42 @@ class TestAdaptivity:
 
         with pytest.raises(ArithmeticError, match="degenerate"):
             integrate_density(bad, UNIT_SQUARE, 1e-6, 1e-6)
+
+    def test_nan_node_is_not_converged(self):
+        # A NaN error never exceeds its budget; it must not pass as converged.
+        def one_nan(z):
+            values = np.ones_like(z.real)
+            values[3, 5] = np.nan
+            return values
+
+        result = integrate_density(one_nan, UNIT_SQUARE, 1e-6, 1e-6)
+        assert not result.converged
+        assert result.cells_used == 1
+        assert np.isnan(result.value)
+
+    def test_nonfinite_cell_after_refinement_is_not_converged(self):
+        # Finite on the first cell, infinite on a node of a later one.
+        f = lambda z: np.where(np.abs(z - 0.25) < 1e-3, np.inf, np.exp(-z.real**2 / 1e-3))
+        result = integrate_density(f, Rectangle(-1, 1, -1, 1), 1e-10, 1e-10)
+        assert not result.converged
+        assert result.cells_used > 1
+        assert not np.isfinite(result.value)
+
+    @pytest.mark.parametrize("degree, with_means", [(80, False), (40, True)])
+    def test_overflowing_density_is_not_converged(self, degree, with_means):
+        # The closed forms overflow near the corners of [-20, 20]^2 at these
+        # degrees; the quadrature reports that instead of a converged NaN.
+        rng = np.random.default_rng(degree)
+        n = degree + 1
+        mu_a, mu_b = (rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)) if with_means else (0, 0)
+        profile = CoefficientProfile(mu_a, rng.uniform(0.5, 2, n), mu_b, rng.uniform(0.5, 2, n))
+        density = general_mean_density if with_means else zero_mean_density
+        basis = MonomialBasis(degree)
+        with np.errstate(all="ignore"):
+            result = integrate_density(lambda z: density(profile, basis, 1 + 0.5j, z).h,
+                                       Rectangle(-20, 20, -20, 20), 1e-8, 1e-8)
+        assert not result.converged
+        assert not np.isfinite(result.value)
 
     def test_invalid_tolerances(self):
         with pytest.raises(ConfigurationError):
