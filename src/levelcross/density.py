@@ -63,6 +63,10 @@ __all__ = [
 # Relative floor under which Y1*Y3 - Y2^2 is treated as singular.
 _DEGENERACY_FLOOR = 1e-14
 
+# Point-terms (points times basis size) per block of basis evaluation and
+# reduction: about 1 MB of scratch arrays per block.
+_BLOCK_TERMS = 8192
+
 
 # ---------------------------------------------------------------------------
 # Parts records
@@ -149,21 +153,32 @@ def _col(arr: np.ndarray, ndim: int) -> np.ndarray:
     return arr.reshape(arr.shape + (1,) * ndim)
 
 
-def _weighted_sums(weights, vals, derivs, linear: bool):
+def _basis_blocks(basis: BasisFamily, points: np.ndarray):
+    """Yield (block, values, derivatives) over consecutive blocks of ``points``.
+
+    ``points`` is 1-D.  A block holds at most ``_BLOCK_TERMS`` point-terms
+    (points times ``basis.count``), so the scratch arrays of one evaluation
+    stay the same size whatever the number of points or the degree.
+    """
+    step = max(1, _BLOCK_TERMS // basis.count)
+    for start in range(0, points.size, step):
+        block = slice(start, start + step)
+        yield (block, *basis.values_and_derivatives(points[block]))
+
+
+def _weighted_sums(weights, vals, derivs):
     """Every weight row summed against every basis product, in one matmul.
 
     With f = u + iv and f' = P + iQ the products are u^2, v^2, uv, uP, vQ,
-    uQ, vP, P^2 + Q^2 and, if ``linear``, also u, v, P, Q.  Returns the
-    sums over the index axis with shape (rows, products) + z.shape.
+    uQ, vP and P^2 + Q^2.  Returns the sums over the index axis with shape
+    (rows, 8) + z.shape.
     """
     n = vals.shape[0]
     u, v, p, q = vals.real, vals.imag, derivs.real, derivs.imag
-    prods = np.empty((n, 12 if linear else 8) + vals.shape[1:])
+    prods = np.empty((n, 8) + vals.shape[1:])
     for row, (x, y) in enumerate(((u, u), (v, v), (u, v), (u, p), (v, q), (u, q), (v, p), (p, p))):
         np.multiply(x, y, out=prods[:, row])
     prods[:, 7] += q * q
-    if linear:
-        prods[:, 8], prods[:, 9], prods[:, 10], prods[:, 11] = u, v, p, q
     sums = weights @ prods.reshape(n, -1)
     return sums.reshape((weights.shape[0],) + prods.shape[1:])
 
@@ -172,26 +187,33 @@ def _covariance_parts(profile, basis, z, means: bool = False):
     """Plain quadratic forms at z: y1, y2, y3, det, d0, d1, d2, d3.
 
     With ``means`` also ex1, ex2 and m of the mean field.  The forms are
-    sums of products weighted by var_a and var_b (and mu_a, mu_b), reduced
-    together by ``_weighted_sums``.  Plain summation is enough for them: y1,
-    y3 and d3 add nonnegative terms, and the one cancellation that matters,
+    sums of products weighted by var_a and var_b, reduced together by
+    ``_weighted_sums``; the mean sums are ex1 + i*ex2 = (mu_a + i*mu_b) @ f
+    and m = (mu_a + i*mu_b) @ f'.  Both run over blocks of points from
+    ``_basis_blocks``.  Plain summation is enough for them: y1, y3 and d3
+    add nonnegative terms, and the one cancellation that matters,
     y1*y3 - y2^2, goes through the compensated ``diff_of_products``.
 
     Raises ``DegenerateCovarianceError`` when the determinant falls below the
     relative floor; the density is undefined there.
     """
     z = np.asarray(z, dtype=np.complex128)
-    vals, derivs = basis.values_and_derivatives(z)
-    rows = (profile.var_a, profile.var_b) + ((profile.mu_a, profile.mu_b) if means else ())
-    sums = _weighted_sums(np.stack(rows), vals, derivs, linear=means)
-    a_uu, a_vv, a_uv, a_up, a_vq, a_uq, a_vp, a_pp = sums[0, :8]
-    b_uu, b_vv, b_uv, b_up, b_vq, b_uq, b_vp, b_pp = sums[1, :8]
-    y1 = a_uu + b_vv
-    y2 = a_uv - b_uv
-    y3 = b_uu + a_vv
-    d1 = (a_up + b_vq) + 1j * (a_uq - b_vp)
-    d2 = (b_up + a_vq) + 1j * (b_uq - a_vp)
-    d3 = a_pp + b_pp
+    points = z.reshape(-1)
+    weights = np.stack((profile.var_a, profile.var_b))
+    mu = profile.mu_a + 1j * profile.mu_b
+    forms = np.empty((4, points.size))
+    cross = np.empty((2, points.size), dtype=np.complex128)
+    mean_sums = np.empty((2, points.size), dtype=np.complex128) if means else None
+    for block, vals, derivs in _basis_blocks(basis, points):
+        a, b = _weighted_sums(weights, vals, derivs)
+        a_uu, a_vv, a_uv, a_up, a_vq, a_uq, a_vp, a_pp = a
+        b_uu, b_vv, b_uv, b_up, b_vq, b_uq, b_vp, b_pp = b
+        forms[:, block] = a_uu + b_vv, a_uv - b_uv, b_uu + a_vv, a_pp + b_pp
+        cross[:, block] = (a_up + b_vq) + 1j * (a_uq - b_vp), (b_up + a_vq) + 1j * (b_uq - a_vp)
+        if means:
+            mean_sums[:, block] = mu @ vals, mu @ derivs
+    y1, y2, y3, d3 = forms.reshape((4,) + z.shape)
+    d1, d2 = cross.reshape((2,) + z.shape)
     det = diff_of_products(y1, y3, y2, y2)
     if np.any(det <= _DEGENERACY_FLOOR * y1 * y3):
         raise DegenerateCovarianceError(
@@ -200,12 +222,8 @@ def _covariance_parts(profile, basis, z, means: bool = False):
     d0 = np.sqrt(det)
     if not means:
         return y1, y2, y3, det, d0, d1, d2, d3
-    ma_u, ma_v, ma_p, ma_q = sums[2, 8:]
-    mb_u, mb_v, mb_p, mb_q = sums[3, 8:]
-    ex1 = ma_u - mb_v
-    ex2 = ma_v + mb_u
-    m = (ma_p - mb_q) + 1j * (ma_q + mb_p)
-    return y1, y2, y3, det, d0, d1, d2, d3, ex1, ex2, m
+    ex, m = mean_sums.reshape((2,) + z.shape)
+    return y1, y2, y3, det, d0, d1, d2, d3, ex.real, ex.imag, m
 
 
 def _zero_mean_h(y1, y2, y3, det, d0, d1, d2, d3, k1, k2):
@@ -228,6 +246,28 @@ def _zero_mean_h(y1, y2, y3, det, d0, d1, d2, d3, k1, k2):
     )
     expo = -(k1 * k1 * y3 + k2 * k2 * y1 - 2.0 * k1 * k2 * y2) / (2.0 * det)
     return np.exp(expo) / (2.0 * np.pi * d0) * braces
+
+
+def _general_mean_h(y1, y2, y3, det, d0, d1, d2, d3, kt1, kt2, m):
+    """Assemble the general-mean closed form at the shifted level kt = K - E(S)."""
+    q1 = kt1 * y3 - kt2 * y2
+    q2 = kt1 * y2 - kt2 * y1
+    cond_deriv = m + (q1 * d1 - 1j * q2 * d2) / det
+    ad1 = d1.real**2 + d1.imag**2
+    ad2 = d2.real**2 + d2.imag**2
+    d12 = d1 + 1j * d2
+    ad12 = d12.real**2 + d12.imag**2
+    # Each |d|^2 * y / det is taken as (|d|^2/d0) * (y/d0): |d1|^2 * y passes
+    # the double range from |z| of about 20 at degree 40.
+    trace_term = (
+        d3
+        - (ad1 / d0) * ((y2 + y3) / d0)
+        - (ad2 / d0) * ((y1 + y2) / d0)
+        + (ad12 / d0) * (y2 / d0)
+    )
+    edet = trace_term + cond_deriv.real**2 + cond_deriv.imag**2
+    expo = -(kt1 * kt1 * y3 + kt2 * kt2 * y1 - 2.0 * kt1 * kt2 * y2) / (2.0 * det)
+    return edet * np.exp(expo) / (2.0 * np.pi * d0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +302,14 @@ def equal_variance_density(sigma2: float, basis: BasisFamily, level, z) -> Equal
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
     level = as_level(level)
     z = np.asarray(z, dtype=np.complex128)
-    vals, derivs = basis.values_and_derivatives(z)
-    b0 = np.sum(vals.real**2 + vals.imag**2, axis=0)
-    b1 = np.sum(np.conj(vals) * derivs, axis=0)
-    b2 = np.sum(derivs.real**2 + derivs.imag**2, axis=0)
+    points = z.reshape(-1)
+    b0, b2 = np.empty(points.size), np.empty(points.size)
+    b1 = np.empty(points.size, dtype=np.complex128)
+    for block, vals, derivs in _basis_blocks(basis, points):
+        b0[block] = np.sum(vals.real**2 + vals.imag**2, axis=0)
+        b1[block] = np.sum(np.conj(vals) * derivs, axis=0)
+        b2[block] = np.sum(derivs.real**2 + derivs.imag**2, axis=0)
+    b0, b1, b2 = (b.reshape(z.shape) for b in (b0, b1, b2))
     if np.any(b0 <= 0.0):
         raise DegeneratePointError("all basis functions vanish at an evaluation point")
     ksq = level.k1**2 + level.k2**2
@@ -294,20 +338,7 @@ def general_mean_density(profile: CoefficientProfile, basis: BasisFamily, level,
     y1, y2, y3, det, d0, d1, d2, d3, ex1, ex2, m = _covariance_parts(
         profile, basis, z, means=True
     )
-
-    kt1 = level.k1 - ex1
-    kt2 = level.k2 - ex2
-    q1 = kt1 * y3 - kt2 * y2
-    q2 = kt1 * y2 - kt2 * y1
-    cond_deriv = m + (q1 * d1 - 1j * q2 * d2) / det
-    ad1 = d1.real**2 + d1.imag**2
-    ad2 = d2.real**2 + d2.imag**2
-    d12 = d1 + 1j * d2
-    ad12 = d12.real**2 + d12.imag**2
-    trace_term = d3 - (ad1 * (y2 + y3) + ad2 * (y1 + y2) - ad12 * y2) / det
-    edet = trace_term + cond_deriv.real**2 + cond_deriv.imag**2
-    expo = -(kt1 * kt1 * y3 + kt2 * kt2 * y1 - 2.0 * kt1 * kt2 * y2) / (2.0 * det)
-    h = edet * np.exp(expo) / (2.0 * np.pi * d0)
+    h = _general_mean_h(y1, y2, y3, det, d0, d1, d2, d3, level.k1 - ex1, level.k2 - ex2, m)
 
     # Mean-shifted diagnostics of the classical display; see the dataclass docs.
     y1s = y1 - ex1 * ex1

@@ -1,8 +1,7 @@
 """Floating-point helpers for the density assembly.
 
-The quadratic forms of the density (y1, y2, y3, d1, d2, d3 and the mean
-sums) are plain sums, reduced together as one weighted matmul in
-``density._covariance_parts``.  Compensation buys nothing there: y1, y3 and
+The quadratic forms of the density (y1, y2, y3, d1, d2, d3) and the mean
+sums are plain sums, reduced as matmuls in ``density._covariance_parts``.  Compensation buys nothing there: y1, y3 and
 d3 add nonnegative terms (Higham, *Accuracy and Stability of Numerical
 Algorithms*, section 4).  The cancellation that matters is the determinant
 Y1*Y3 - Y2^2, whose square root scales the whole density; it is formed as an

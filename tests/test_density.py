@@ -1,5 +1,7 @@
 """Closed-form density evaluators: spot values, identities, symmetries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from levelcross import (
     TimeGrid,
     brownian_density,
     brownian_density_direct,
+    conditioned_jacobian_density,
     diagonal_level_density,
     equal_variance_density,
     general_mean_density,
@@ -284,6 +287,39 @@ class TestContractsAndErrors:
         with np.errstate(over="raise", invalid="raise"):
             h = float(zero_mean_density(profile, basis, level, z).h)
         assert rel_dev(h, moments_path_density(profile, basis, level, z)) < 1e-9
+
+    def test_general_mean_no_overflow_at_degree_40_far_out(self, rng):
+        # |d1|^2 * (y2 + y3) is out of double range here; the trace term
+        # divides each factor by d0 first, as the zero-mean assembly does.
+        n = 41
+        profile = CoefficientProfile(rng.uniform(-1, 1, n), rng.uniform(0.5, 2, n),
+                                     rng.uniform(-1, 1, n), rng.uniform(0.5, 2, n))
+        basis = MonomialBasis(40)
+        level = ComplexLevel(1.0, 0.5)
+        z = 20.0 * np.exp(0.7j)
+        with np.errstate(over="raise", invalid="raise"):
+            h = float(general_mean_density(profile, basis, level, z).h)
+        assert np.isfinite(h)
+        assert rel_dev(h, conditioned_jacobian_density(profile, basis, level, z)) < 1e-9
+
+    def test_density_is_evaluated_in_bounded_blocks(self, rng):
+        # One full (terms, products, points) array at degree 40 on 10 000
+        # points would take 10 000 * 41 * 64 bytes; blockwise evaluation
+        # keeps the peak well below it.
+        profile = random_zero_mean_profile(rng, 41, 0.5, 2.0)
+        basis = MonomialBasis(40)
+        z = rng.uniform(-2, 2, (100, 100)) + 1j * rng.uniform(-2, 2, (100, 100))
+        tracemalloc.start()
+        try:
+            h = zero_mean_density(profile, basis, 1 + 0.5j, z).h
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h.shape == z.shape
+        assert peak < z.size * 41 * 64
+        for idx in ((0, 0), (57, 31), (99, 99)):
+            single = zero_mean_density(profile, basis, 1 + 0.5j, z[idx]).h
+            assert rel_dev(h[idx], single) < 1e-14
 
     def test_vectorized_matches_scalar(self, rng):
         profile = random_zero_mean_profile(rng, 4)

@@ -119,27 +119,80 @@ class TestAdaptivity:
         assert result.cells_used > 1
         assert not np.isfinite(result.value)
 
-    @pytest.mark.parametrize("degree, with_means", [(80, False), (40, True)])
+    @pytest.mark.parametrize("degree, with_means", [(80, False), (80, True)])
     def test_overflowing_density_is_not_converged(self, degree, with_means):
         # The closed forms overflow near the corners of [-20, 20]^2 at these
         # degrees; the quadrature reports that instead of a converged NaN.
-        rng = np.random.default_rng(degree)
-        n = degree + 1
-        mu_a, mu_b = (rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)) if with_means else (0, 0)
-        profile = CoefficientProfile(mu_a, rng.uniform(0.5, 2, n), mu_b, rng.uniform(0.5, 2, n))
-        density = general_mean_density if with_means else zero_mean_density
-        basis = MonomialBasis(degree)
         with np.errstate(all="ignore"):
-            result = integrate_density(lambda z: density(profile, basis, 1 + 0.5j, z).h,
-                                       Rectangle(-20, 20, -20, 20), 1e-8, 1e-8)
+            result = _count_over_square(degree, with_means)
         assert not result.converged
         assert not np.isfinite(result.value)
+
+    def test_degree_40_with_means_satisfies_count_law(self):
+        # The general-mean trace term stays in range over [-20, 20]^2 at
+        # degree 40, so the integral converges to about the degree.
+        with np.errstate(over="raise", invalid="raise"):
+            result = _count_over_square(40, with_means=True)
+        assert result.converged
+        assert abs(result.value - 40.0) < 1e-2
 
     def test_invalid_tolerances(self):
         with pytest.raises(ConfigurationError):
             integrate_density(lambda z: z.real, UNIT_SQUARE, 0.0, 1e-6)
         with pytest.raises(ConfigurationError):
             integrate_density(lambda z: z.real, UNIT_SQUARE, 1e-6, -1.0)
+
+
+class TestPassBatching:
+    """Each refinement pass evaluates its children in few evaluator calls."""
+
+    def test_calls_evaluations_and_passes(self):
+        calls = []
+
+        def f(z):
+            calls.append(z.shape)
+            return np.exp(-20.0 * np.abs(z - (0.1 + 0.2j)) ** 2)
+
+        result = integrate_density(f, Rectangle(-1, 1, -1, 1), 1e-10, 1e-10)
+        assert result.converged
+        evaluated = 2 * result.cells_used - 1
+        assert result.cells_used > 1
+        assert 1 <= result.passes < len(calls) < evaluated
+        assert result.evaluations == 225 * evaluated == sum(rows * cols for rows, cols in calls)
+        assert calls[0] == (15, 15)
+        assert all(rows % 15 == 0 and cols == 15 for rows, cols in calls)
+
+    def test_single_cell_counts(self):
+        result = integrate_density(lambda z: np.ones_like(z.real), UNIT_SQUARE, 1e-14, 1e-14)
+        assert (result.passes, result.evaluations) == (0, 225)
+
+    @pytest.mark.parametrize("integrand, region, tol, max_cells, cells, value", [
+        # Truncated by max_cells: the worst cells are split first.
+        (lambda z: 1.0 / (1e-6 + (z.real - 0.3) ** 2 + (z.imag + 0.1) ** 2),
+         Rectangle(-1.0, 1.0, -1.0, 1.0), 1e-12, 77, 77, 63.506821892247295),
+        # Integer bounds: midpoints must not truncate.
+        (lambda z: np.exp(-4 * np.abs(z - (0.5 + 0.25j)) ** 2) * (1 + z.real**2),
+         Rectangle(-3, 2, -1, 2), 1e-11, 20000, 52, 1.0796562386577573),
+    ], ids=["truncated", "integer-bounds"])
+    def test_refinement_is_pinned(self, integrand, region, tol, max_cells, cells, value):
+        # Pinned numbers: how cells are grouped into evaluator calls must not
+        # change which cells are refined.
+        result = integrate_density(integrand, region, tol, tol, max_cells)
+        assert result.cells_used == cells
+        assert result.converged == (cells < max_cells)
+        assert abs(result.value - value) <= 1e-13 * abs(value)
+
+
+def _count_over_square(degree: int, with_means: bool):
+    """Integral of h over [-20, 20]^2 at level 1 + 0.5i, tolerance 1e-8."""
+    rng = np.random.default_rng(degree)
+    n = degree + 1
+    mu_a, mu_b = (rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)) if with_means else (0, 0)
+    profile = CoefficientProfile(mu_a, rng.uniform(0.5, 2, n), mu_b, rng.uniform(0.5, 2, n))
+    density = general_mean_density if with_means else zero_mean_density
+    basis = MonomialBasis(degree)
+    return integrate_density(lambda z: density(profile, basis, 1 + 0.5j, z).h,
+                             Rectangle(-20, 20, -20, 20), 1e-8, 1e-8)
 
 
 def _radial_density_n2(t: np.ndarray) -> np.ndarray:
