@@ -17,12 +17,18 @@ endings; CSV grids carry 17-significant-digit floats.
 ``--theorem`` selects the closed form: 2 = zero means with per-index
 variances, 3 = one common variance, 4 = arbitrary means, 5 = Brownian
 prefix basis; ``auto`` picks by profile shape.
+
+Exit codes: 0 success; 2 configuration error, contract violation or (for
+``compare``) no agreement; 3 degenerate evaluation; 4 degenerate grid cells
+in ``density``; 5 too many Monte Carlo trials hit the region boundary; 6
+``expect`` wrote its result but the quadrature did not converge.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -332,6 +338,7 @@ def cmd_density(config: RunConfig, out_path: str | None) -> int:
 
 
 def cmd_expect(config: RunConfig, out_path: str | None) -> int:
+    """Integrate h over the region; exit 6 when the quadrature did not converge."""
     field, _ = config.density_field()
     _, _, _, region = config.build()
     result = integrate_density(
@@ -346,7 +353,7 @@ def cmd_expect(config: RunConfig, out_path: str | None) -> int:
         },
         out_path,
     )
-    return 0
+    return 0 if result.converged else 6
 
 
 def cmd_mc(config: RunConfig, out_path: str | None) -> int:
@@ -369,7 +376,12 @@ def cmd_mc(config: RunConfig, out_path: str | None) -> int:
 
 
 def cmd_compare(config: RunConfig, out_path: str | None) -> int:
-    """Quadrature against Monte Carlo; exit 0 only on agreement."""
+    """Quadrature against Monte Carlo; exit 0 only on agreement.
+
+    Agreement needs a converged quadrature with a finite value, and the
+    difference within 3 Monte Carlo standard errors plus the quadrature
+    error estimate.
+    """
     field, _ = config.density_field()
     profile, basis, level, region = config.build()
     quad = integrate_density(
@@ -382,7 +394,11 @@ def cmd_compare(config: RunConfig, out_path: str | None) -> int:
     diff = quad.value - mc.mean
     # Degenerate CI (all counts identical) has no finite z-score; report null.
     z_score = diff / mc.std_error if mc.std_error > 0 else None
-    agree = abs(diff) <= 3.0 * mc.std_error + quad.error_estimate
+    agree = (
+        quad.converged
+        and math.isfinite(quad.value)
+        and abs(diff) <= 3.0 * mc.std_error + quad.error_estimate
+    )
     _json_dump(
         {
             "quadrature": {

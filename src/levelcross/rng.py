@@ -80,13 +80,15 @@ def normal(key: StreamKey, mu: float = 0.0, sigma: float = 1.0) -> float:
     return float(mu) + float(sigma) * standard_normal(key)
 
 
-def standard_normal_block(seed: int, trials: int, slots: int) -> np.ndarray:
-    """N(0,1) draws for the full key grid, shape ``(trials, slots)``.
+def standard_normal_block(seed: int, trials: int, slots: int, first_trial: int = 0) -> np.ndarray:
+    """N(0,1) draws for a block of the key grid, shape ``(trials, slots)``.
 
-    Entry ``[t, s]`` equals ``standard_normal(StreamKey(seed, t, s))``, so
-    batched and scalar paths are interchangeable.
+    Entry ``[t, s]`` equals ``standard_normal(StreamKey(seed, first_trial + t,
+    s))``, so batched and scalar paths are interchangeable, and a block that
+    starts at ``first_trial`` holds exactly those rows of the block that
+    starts at 0.
     """
-    trial_idx = np.arange(trials, dtype=np.uint64)[:, None]
+    trial_idx = np.arange(first_trial, first_trial + trials, dtype=np.uint64)[:, None]
     slot_idx = np.arange(slots, dtype=np.uint64)[None, :]
     state = _stream_state(seed, trial_idx, slot_idx)
     u1, u2 = _uniform_pair(state)

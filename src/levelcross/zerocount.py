@@ -6,6 +6,16 @@ confidence interval for the expected count.  For polynomial bases a
 companion-matrix eigenvalue counter provides both a faster default and an
 independent second oracle.
 
+The companion route works in blocks of at most ``_BLOCK_ENTRIES`` companion
+matrix entries (trials x degree^2).  Each block draws its own rows of the
+keyed random grid, maps them to polynomial coefficients and counts the
+eigenvalues of its matrices, so memory stays bounded at any trial count and
+degree.  The blocks run on one thread per CPU the process may use, the
+calling thread among them; ``np.linalg.eigvals`` and the large ufuncs release
+the GIL.  Block results are concatenated in trial order before the reduction,
+so an estimate is bit-for-bit the same whatever the block size or the number
+of threads.  The winding route runs in Python under the GIL and stays serial.
+
 Trials whose zero set touches the region boundary cannot be counted reliably;
 they are discarded and reported (the zero set of a fixed draw meets the
 boundary curve with probability zero, so the discard event is a ~1e-9-rare
@@ -14,6 +24,8 @@ numerical guard, and the discard counter keeps the approximation auditable).
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +56,9 @@ _BOUNDARY_FLOOR = 1e-9
 
 # Absolute distance from an eigenvalue to the boundary that flags a hit.
 _EIGEN_BOUNDARY_TOL = 1e-9
+
+# Companion-matrix entries (trials x degree^2) per block of Monte Carlo trials.
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -141,16 +156,22 @@ def count_zeros_winding(
 # ---------------------------------------------------------------------------
 
 
-def companion_matrix(coeffs: np.ndarray) -> np.ndarray:
-    """Monic companion matrix of c_0 + c_1 z + ... + c_n z^n.
-
-    Eigenvalues are the polynomial's roots.  Requires c_n != 0.
-    """
+def _coefficient_vector(coeffs) -> np.ndarray:
+    """Complex coefficients of a polynomial of degree >= 1 with c_n != 0."""
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.ndim != 1 or c.size < 2:
         raise ConfigurationError("need a 1-D coefficient vector of degree >= 1")
     if c[-1] == 0:
         raise ContractViolationError("leading coefficient must be nonzero")
+    return c
+
+
+def companion_matrix(coeffs: np.ndarray) -> np.ndarray:
+    """Monic companion matrix of c_0 + c_1 z + ... + c_n z^n.
+
+    Eigenvalues are the polynomial's roots.  Requires c_n != 0.
+    """
+    c = _coefficient_vector(coeffs)
     n = c.size - 1
     monic = c[:-1] / c[-1]
     mat = np.zeros((n, n), dtype=np.complex128)
@@ -163,16 +184,14 @@ def count_zeros_companion(coeffs: np.ndarray, level, region: Rectangle) -> int:
     """Zeros of the polynomial minus K strictly inside the region.
 
     Counts companion-matrix eigenvalues of sum_j c_j z^j - K in the open
-    rectangle; an eigenvalue within 1e-9 of the boundary raises
-    ``BoundaryHitError``.
+    rectangle, as a batch of one for ``_companion_counts_batch``; an
+    eigenvalue within 1e-9 of the boundary raises ``BoundaryHitError``.
     """
-    level = as_level(level)
-    c = np.asarray(coeffs, dtype=np.complex128).copy()
-    c[0] -= level.value
-    roots = np.linalg.eigvals(companion_matrix(c))
-    if np.any(region.boundary_distance(roots) < _EIGEN_BOUNDARY_TOL):
+    c = _coefficient_vector(coeffs)
+    counts, discard = _companion_counts_batch(c[None, :], level, region)
+    if discard[0]:
         raise BoundaryHitError("a root lies on or numerically near the region boundary")
-    return int(np.count_nonzero(region.contains(roots)))
+    return int(counts[0])
 
 
 def _companion_counts_batch(coeff_rows: np.ndarray, level, region: Rectangle):
@@ -204,13 +223,75 @@ def _companion_counts_batch(coeff_rows: np.ndarray, level, region: Rectangle):
 # ---------------------------------------------------------------------------
 
 
-def _sample_coefficients(profile: CoefficientProfile, trials: int, seed: int) -> np.ndarray:
-    """Draw eta = a + i b for all trials; slot 2j is a_j, slot 2j+1 is b_j."""
+def _sample_coefficients(
+    profile: CoefficientProfile, trials: int, seed: int, first_trial: int = 0
+) -> np.ndarray:
+    """Draw eta = a + i b for trials ``first_trial, ..., first_trial + trials - 1``.
+
+    Slot 2j is a_j, slot 2j+1 is b_j.
+    """
     n = profile.size
-    block = standard_normal_block(seed, trials, 2 * n)
+    block = standard_normal_block(seed, trials, 2 * n, first_trial=first_trial)
     a = profile.mu_a[None, :] + np.sqrt(profile.var_a)[None, :] * block[:, 0::2]
     b = profile.mu_b[None, :] + np.sqrt(profile.var_b)[None, :] * block[:, 1::2]
     return a + 1j * b
+
+
+def _worker_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_blocks(task, items) -> list:
+    """``[task(item) for item in items]``, computed on up to ``_worker_count()`` threads.
+
+    The calling thread pulls items too, so no more compute threads run than
+    there are CPUs; a single item or a single worker starts no thread.  The
+    first exception a task raises stops the pulling and is re-raised here.
+    """
+    workers = min(len(items), _worker_count())
+    if workers <= 1:
+        return [task(item) for item in items]
+    results = [None] * len(items)
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+    failures = []
+
+    def pull():
+        try:
+            while not failures:
+                with lock:
+                    k = next(pending, None)
+                if k is None:
+                    return
+                results[k] = task(items[k])
+        except BaseException as exc:  # re-raised in the calling thread
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=pull) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    pull()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
+    return results
+
+
+def _companion_counts(profile, basis, level, region, trials: int, seed: int):
+    """(counts, discard_mask) of every trial, counted in blocks of trials."""
+    size = max(1, _BLOCK_ENTRIES // max(1, profile.size - 1) ** 2)
+
+    def block(first):
+        eta = _sample_coefficients(profile, min(size, trials - first), seed, first)
+        return _companion_counts_batch(basis.polynomial_coefficients(eta), level, region)
+
+    parts = _map_blocks(block, range(0, trials, size))
+    return np.concatenate([c for c, _ in parts]), np.concatenate([d for _, d in parts])
 
 
 def estimate_expected_count(
@@ -231,7 +312,8 @@ def estimate_expected_count(
     or "auto" (companion whenever the basis exposes polynomial coefficients).
 
     Each trial's randomness is a pure function of (seed, trial index), so the
-    estimate is reproducible regardless of scheduling; the reduction runs in
+    estimate is reproducible regardless of scheduling; the companion route
+    counts blocks of trials on several threads, and the reduction runs in
     trial order.  Aborts with ``DiscardRateError`` when at least 1% of trials
     hit the boundary, which signals that the region boundary passes through a
     high-density zone.
@@ -240,17 +322,17 @@ def estimate_expected_count(
         raise ConfigurationError(f"need at least 100 trials, got {trials}")
     if method not in ("auto", "companion", "winding"):
         raise ConfigurationError(f"unknown method {method!r}")
-    eta = _sample_coefficients(profile, trials, seed)
-    poly = basis.polynomial_coefficients(eta)
-    if method == "companion" and poly is None:
+    probe = np.zeros(profile.size, dtype=np.complex128)
+    polynomial = basis.polynomial_coefficients(probe) is not None
+    if method == "companion" and not polynomial:
         raise ConfigurationError("companion counting needs a polynomial basis")
-    use_companion = method == "companion" or (method == "auto" and poly is not None)
 
-    if use_companion:
-        counts, discard = _companion_counts_batch(poly, level, region)
+    if polynomial and method != "winding":
+        counts, discard = _companion_counts(profile, basis, level, region, trials, seed)
         kept = counts[~discard]
         discarded = int(np.count_nonzero(discard))
     else:
+        eta = _sample_coefficients(profile, trials, seed)
         kept_list = []
         discarded = 0
         for t in range(trials):

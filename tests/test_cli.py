@@ -157,6 +157,28 @@ class TestScalarCommands:
         assert payload["agree"] is True
         assert code == 0
 
+    def test_compare_needs_converged_quadrature(self, capsys):
+        # One cell at tolerance 1e-12 cannot converge; the Monte Carlo mean
+        # alone would pass the 3-sigma rule here.
+        code, out, _ = run_cli(
+            ["compare", "--degree", "2", "--trials", "4000", "--seed", "3", "--max-cells", "1",
+             "--abs-tol", "1e-12", "--rel-tol", "1e-12"], capsys
+        )
+        payload = json.loads(out)
+        assert payload["quadrature"]["converged"] is False
+        assert payload["agree"] is False
+        assert code == 2
+
+    def test_expect_unconverged_exit_code(self, capsys):
+        code, out, _ = run_cli(
+            ["expect", "--degree", "2", "--max-cells", "1", "--abs-tol", "1e-12",
+             "--rel-tol", "1e-12"], capsys
+        )
+        payload = json.loads(out)
+        assert set(payload) == {"value", "error_estimate", "converged"}
+        assert payload["converged"] is False
+        assert code == 6
+
     def test_reduce_check_passes(self, capsys):
         code, out, _ = run_cli(["reduce-check", "--seed", "5"], capsys)
         assert code == 0

@@ -36,6 +36,14 @@ def test_block_matches_scalar_path():
             assert block[t, s] == standard_normal(StreamKey(99, t, s))
 
 
+@pytest.mark.parametrize("first_trial", [0, 1, 17, 640, 999])
+def test_block_offset_matches_rows_of_full_block(first_trial):
+    full = standard_normal_block(31, 1000, 22)
+    trials = min(655, 1000 - first_trial)
+    block = standard_normal_block(31, trials, 22, first_trial=first_trial)
+    assert np.array_equal(block, full[first_trial:first_trial + trials])
+
+
 def test_moments_at_one_million():
     z = standard_normal_block(2024, 1000, 1000).ravel()
     assert abs(z.mean()) < 4.0 / np.sqrt(z.size)

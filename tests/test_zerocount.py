@@ -1,5 +1,7 @@
 """Winding and companion zero counters, and the Monte Carlo aggregator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from levelcross import (
     CoefficientProfile,
     ComplexLevel,
     ConfigurationError,
+    ContractViolationError,
     DiscardRateError,
     MonomialBasis,
     Rectangle,
@@ -72,6 +75,12 @@ class TestCompanionCounter:
     def test_boundary_hit(self):
         with pytest.raises(BoundaryHitError):
             count_zeros_companion(np.array([-1.0, 0.0, 1.0]), 0j, Rectangle(-1, 1, -1, 1))
+
+    def test_zero_leading_coefficient_and_shape(self):
+        with pytest.raises(ContractViolationError):
+            count_zeros_companion(np.array([1.0, 2.0, 0.0]), 0j, SQUARE2)
+        with pytest.raises(ConfigurationError):
+            count_zeros_companion(np.array([[1.0, 2.0]]), 0j, SQUARE2)
 
     def test_matrix_matches_numpy_roots(self, rng):
         for _ in range(20):
@@ -202,3 +211,74 @@ class TestEstimator:
         with pytest.raises(DiscardRateError):
             estimate_expected_count(CoefficientProfile.iid(3), QUAD, 0j, SQUARE2,
                                     trials=200, seed=0)
+
+
+class TestTrialBlocks:
+    """The companion route counts blocks of trials, possibly on several threads."""
+
+    PROFILE = CoefficientProfile.iid(4, mu_a=0.2)
+    BASIS = MonomialBasis(3)
+    LEVEL = ComplexLevel(0.3, -0.2)
+    REGION = Rectangle(-1, 1, -1, 1)
+    TRIALS = 1037  # not a multiple of the 50-trial blocks below
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_blocks_match_one_batch(self, monkeypatch, workers):
+        batch = zerocount._companion_counts_batch
+
+        def with_rare_discards(coeff_rows, level, region):
+            # Discard about 0.5% of trials, so that misplaced discard masks
+            # would change the mean.
+            counts, discard = batch(coeff_rows, level, region)
+            return counts, discard | (coeff_rows[:, 0].real > 2.8)
+
+        monkeypatch.setattr(zerocount, "_companion_counts_batch", with_rare_discards)
+        eta = zerocount._sample_coefficients(self.PROFILE, self.TRIALS, 8)
+        counts, discard = with_rare_discards(
+            self.BASIS.polynomial_coefficients(eta), self.LEVEL, self.REGION
+        )
+        kept = counts[~discard].astype(np.float64)
+        reference = (
+            float(kept.mean()),
+            float(kept.std(ddof=1) / np.sqrt(kept.size)),
+            int(np.count_nonzero(discard)),
+        )
+        assert reference[2] > 0
+
+        monkeypatch.setattr(zerocount, "_BLOCK_ENTRIES", 50 * 3**2)
+        monkeypatch.setattr(zerocount, "_worker_count", lambda: workers)
+        est = estimate_expected_count(self.PROFILE, self.BASIS, self.LEVEL, self.REGION,
+                                      trials=self.TRIALS, seed=8)
+        assert (est.mean, est.std_error, est.discarded_trials) == reference
+
+    def test_block_error_propagates(self, monkeypatch):
+        def broken(coeff_rows, level, region):
+            raise FloatingPointError("block failed")
+
+        monkeypatch.setattr(zerocount, "_companion_counts_batch", broken)
+        monkeypatch.setattr(zerocount, "_BLOCK_ENTRIES", 50 * 3**2)
+        monkeypatch.setattr(zerocount, "_worker_count", lambda: 3)
+        with pytest.raises(FloatingPointError, match="block failed"):
+            estimate_expected_count(self.PROFILE, self.BASIS, self.LEVEL, self.REGION,
+                                    trials=self.TRIALS, seed=8)
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(zerocount, "_worker_count", lambda: 3)
+        monkeypatch.setattr(zerocount, "threading", None)
+        est = estimate_expected_count(self.PROFILE, self.BASIS, self.LEVEL, self.REGION,
+                                      trials=self.TRIALS, seed=8)
+        assert est.trials == self.TRIALS
+
+    def test_trials_are_counted_in_bounded_blocks(self):
+        # All 20 000 degree-10 companion matrices at once take 32 MB; blocks
+        # of 2**16 entries keep the peak far below that.
+        tracemalloc.start()
+        try:
+            est = estimate_expected_count(CoefficientProfile.iid(11), MonomialBasis(10),
+                                          ComplexLevel(1.0, 0.5), self.REGION,
+                                          trials=20000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.trials == 20000
+        assert peak < 16 * 2**20
