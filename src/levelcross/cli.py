@@ -11,8 +11,9 @@ reduce-check  run the reduction-chain and oracle-agreement checks, write JSON
 Configuration is a flat ``key = value`` text file (numbers, booleans,
 ``[a, b, c]`` lists, strings; ``#`` comments); every key is also exposed as a
 command-line flag, and flags win over the file.  Scalar profile entries
-broadcast across coefficient indices.  JSON outputs are UTF-8 with LF line
-endings; CSV grids carry 17-significant-digit floats.
+broadcast across coefficient indices.  JSON outputs are strict JSON in UTF-8
+with LF line endings, with null for any non-finite number; CSV grids carry
+17-significant-digit floats.
 
 ``--theorem`` selects the closed form: 2 = zero means with per-index
 variances, 3 = one common variance, 4 = arbitrary means, 5 = Brownian
@@ -260,7 +261,7 @@ def emit_flat_config(config: "RunConfig") -> str:
 def _as_float_tuple(value, key: str) -> tuple[float, ...]:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return (float(value),)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         try:
             return tuple(float(v) for v in value)
         except (TypeError, ValueError):
@@ -304,8 +305,21 @@ def _write_output(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _json_dump(payload: dict, out_path: str | None) -> None:
-    _write_output(json.dumps(payload, indent=2) + "\n", out_path)
+    """Write strict JSON (RFC 8259): NaN and infinities become null."""
+    text = json.dumps(_finite_or_null(payload), indent=2, allow_nan=False)
+    _write_output(text + "\n", out_path)
 
 
 def cmd_density(config: RunConfig, out_path: str | None) -> int:

@@ -107,14 +107,19 @@ class EqualVarianceParts:
 
 
 @dataclass(frozen=True)
-class DensityPartsGeneral:
-    """Diagnostics of a general-mean density evaluation.
+class DensityPartsGeneral(DensityParts):
+    """Quadratic forms of one general-mean density evaluation.
 
-    ex1, ex2 are the means of (Re S, Im S); m = sum E(a_j + i b_j) f_j'(z) is
-    the derivative of the mean field.  The starred entries are the
-    mean-shifted quadratic forms (y1s = y1 - ex1^2 and so on, with
-    d1s = d1 - ex1*m and d2s = d2 + i*ex2*m); they are reported for
-    inspection and reduce to the plain forms when all means vanish.
+    The plain forms y1 ... d3 are those of ``DensityParts``: means do not
+    enter the covariance, so they are the same as for the zero-mean profile
+    with these variances.  ex1, ex2 are the means of (Re S, Im S);
+    m = sum E(a_j + i b_j) f_j'(z) is the derivative of the mean field.
+
+    The starred names are the mean-shifted quadratic forms of the classical
+    display (y1s = y1 - ex1^2 and so on, with d1s = d1 - ex1*m and
+    d2s = d2 + i*ex2*m).  They are read-only properties computed on each
+    access, so an evaluation pays only for h; they reduce to the plain forms
+    when all means vanish.
 
     The shifted matrix (y1s, y2s; y2s, y3s) loses positive definiteness once
     the mean vector leaves the unit Mahalanobis ellipse of the covariance, in
@@ -123,17 +128,40 @@ class DensityPartsGeneral:
     nondegenerate profile).
     """
 
-    y1s: np.ndarray
-    y2s: np.ndarray
-    y3s: np.ndarray
-    d0s: np.ndarray
-    d1s: np.ndarray
-    d2s: np.ndarray
-    d3s: np.ndarray
     m: np.ndarray
     ex1: np.ndarray
     ex2: np.ndarray
-    h: np.ndarray
+
+    @property
+    def y1s(self) -> np.ndarray:
+        return self.y1 - self.ex1 * self.ex1
+
+    @property
+    def y2s(self) -> np.ndarray:
+        return self.y2 - self.ex1 * self.ex2
+
+    @property
+    def y3s(self) -> np.ndarray:
+        return self.y3 - self.ex2 * self.ex2
+
+    @property
+    def d0s(self) -> np.ndarray:
+        y2s = self.y2s
+        dets = diff_of_products(self.y1s, self.y3s, y2s, y2s)
+        with np.errstate(invalid="ignore"):
+            return np.where(dets > 0.0, np.sqrt(np.where(dets > 0.0, dets, 1.0)), np.nan)
+
+    @property
+    def d1s(self) -> np.ndarray:
+        return self.d1 - self.ex1 * self.m
+
+    @property
+    def d2s(self) -> np.ndarray:
+        return self.d2 + 1j * self.ex2 * self.m
+
+    @property
+    def d3s(self) -> np.ndarray:
+        return self.d3
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +367,8 @@ def general_mean_density(profile: CoefficientProfile, basis: BasisFamily, level,
         profile, basis, z, means=True
     )
     h = _general_mean_h(y1, y2, y3, det, d0, d1, d2, d3, level.k1 - ex1, level.k2 - ex2, m)
-
-    # Mean-shifted diagnostics of the classical display; see the dataclass docs.
-    y1s = y1 - ex1 * ex1
-    y2s = y2 - ex1 * ex2
-    y3s = y3 - ex2 * ex2
-    dets = diff_of_products(y1s, y3s, y2s, y2s)
-    with np.errstate(invalid="ignore"):
-        d0s = np.where(dets > 0.0, np.sqrt(np.where(dets > 0.0, dets, 1.0)), np.nan)
     return DensityPartsGeneral(
-        y1s=y1s, y2s=y2s, y3s=y3s, d0s=d0s,
-        d1s=d1 - ex1 * m, d2s=d2 + 1j * ex2 * m, d3s=d3,
-        m=m, ex1=ex1, ex2=ex2, h=h,
+        y1=y1, y2=y2, y3=y3, d0=d0, d1=d1, d2=d2, d3=d3, h=h, m=m, ex1=ex1, ex2=ex2,
     )
 
 

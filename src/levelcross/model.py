@@ -309,6 +309,9 @@ class WeightedMonomialBasis(BasisFamily):
         self._weights = w
         self._weights.setflags(write=False)
         self._inner = MonomialBasis(w.size - 1)
+        # Members with trailing zero weights vanish identically, so the sum's
+        # polynomial has lower degree; a degree-0 remainder keeps c_0.
+        self._poly_terms = int(np.flatnonzero(w).max(initial=0)) + 1
 
     @property
     def weights(self) -> np.ndarray:
@@ -325,7 +328,8 @@ class WeightedMonomialBasis(BasisFamily):
         return w * vals, w * derivs
 
     def polynomial_coefficients(self, eta):
-        return np.asarray(eta, dtype=np.complex128) * self._weights
+        coeffs = np.asarray(eta, dtype=np.complex128) * self._weights
+        return coeffs[..., : self._poly_terms]
 
 
 class PrefixSumBasis(BasisFamily):

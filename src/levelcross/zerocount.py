@@ -54,6 +54,11 @@ _Z95 = 1.959963984540054
 # treated as a boundary hit.
 _BOUNDARY_FLOOR = 1e-9
 
+# Boundary samples of the winding counter: the first pass, and the most that
+# refinement may reach before the trial is given up as a boundary hit.
+_INITIAL_POINTS = 64
+_MAX_POINTS = 262144
+
 # Absolute distance from an eigenvalue to the boundary that flags a hit.
 _EIGEN_BOUNDARY_TOL = 1e-9
 
@@ -98,15 +103,7 @@ def _boundary_points(region: Rectangle, s: np.ndarray) -> np.ndarray:
     return x + 1j * y
 
 
-def count_zeros_winding(
-    eta: np.ndarray,
-    basis: BasisFamily,
-    level,
-    region: Rectangle,
-    *,
-    initial_points: int = 64,
-    max_points: int = 262144,
-) -> int:
+def count_zeros_winding(eta: np.ndarray, basis: BasisFamily, level, region: Rectangle) -> int:
     """Zeros (with multiplicity) of sum_j eta_j f_j(z) - K inside the region.
 
     Traverses the boundary counterclockwise and accumulates principal-value
@@ -125,7 +122,7 @@ def count_zeros_winding(
             f"coefficient vector has shape {eta.shape}, expected ({basis.count},)"
         )
     level = as_level(level)
-    s = np.linspace(0.0, 4.0, initial_points, endpoint=False)
+    s = np.linspace(0.0, 4.0, _INITIAL_POINTS, endpoint=False)
     while True:
         z = _boundary_points(region, s)
         vals, _ = basis.values_and_derivatives(z)
@@ -143,7 +140,7 @@ def count_zeros_winding(
                     f"winding number did not resolve to an integer (got {turns!r})"
                 )
             return count
-        if s.size * 2 > max_points:
+        if s.size * 2 > _MAX_POINTS:
             raise BoundaryHitError("boundary refinement budget exhausted")
         s_next = np.roll(s, -1)
         s_next[-1] += 4.0
@@ -166,18 +163,26 @@ def _coefficient_vector(coeffs) -> np.ndarray:
     return c
 
 
+def _companion_matrices(c: np.ndarray) -> np.ndarray:
+    """Monic companion matrices of the coefficient rows ``c``, shape (rows, n + 1).
+
+    Row t holds c_0 ... c_n of one polynomial with c_n != 0; matrix t has its
+    roots as eigenvalues.  A row of degree 0 gives a 0 x 0 matrix.
+    """
+    rows, degree = c.shape[0], c.shape[1] - 1
+    monic = c[:, :-1] / c[:, -1:]
+    mats = np.zeros((rows, degree, degree), dtype=np.complex128)
+    mats[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+    mats[:, :, -1:] = -monic[:, :, None]
+    return mats
+
+
 def companion_matrix(coeffs: np.ndarray) -> np.ndarray:
     """Monic companion matrix of c_0 + c_1 z + ... + c_n z^n.
 
     Eigenvalues are the polynomial's roots.  Requires c_n != 0.
     """
-    c = _coefficient_vector(coeffs)
-    n = c.size - 1
-    monic = c[:-1] / c[-1]
-    mat = np.zeros((n, n), dtype=np.complex128)
-    mat[np.arange(1, n), np.arange(n - 1)] = 1.0
-    mat[:, -1] = -monic
-    return mat
+    return _companion_matrices(_coefficient_vector(coeffs)[None, :])[0]
 
 
 def count_zeros_companion(coeffs: np.ndarray, level, region: Rectangle) -> int:
@@ -198,20 +203,15 @@ def _companion_counts_batch(coeff_rows: np.ndarray, level, region: Rectangle):
     """Vectorized companion counting for one coefficient row per trial.
 
     Returns (counts, discard_mask); rows with vanishing leading coefficient
-    or a root near the boundary are flagged for discard.
+    or a root near the boundary are flagged for discard.  Rows of degree 0
+    count no zeros.
     """
     level = as_level(level)
     c = np.array(coeff_rows, dtype=np.complex128)
     c[:, 0] -= level.value
-    trials, m = c.shape
-    degree = m - 1
     bad_leading = c[:, -1] == 0
-    lead = np.where(bad_leading, 1.0, c[:, -1])
-    monic = c[:, :-1] / lead[:, None]
-    mats = np.zeros((trials, degree, degree), dtype=np.complex128)
-    mats[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
-    mats[:, :, -1] = -monic
-    roots = np.linalg.eigvals(mats)
+    c[bad_leading, -1] = 1.0
+    roots = np.linalg.eigvals(_companion_matrices(c))
     near_boundary = region.boundary_distance(roots) < _EIGEN_BOUNDARY_TOL
     discard = bad_leading | np.any(near_boundary, axis=1)
     counts = np.count_nonzero(region.contains(roots), axis=1)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from levelcross import cli
 from levelcross.cli import (
     RunConfig,
     config_from_mapping,
@@ -13,6 +14,7 @@ from levelcross.cli import (
     parse_flat_config,
 )
 from levelcross.errors import ConfigurationError
+from levelcross.quadrature import QuadratureResult
 
 
 def run_cli(args, capsys):
@@ -178,6 +180,27 @@ class TestScalarCommands:
         assert set(payload) == {"value", "error_estimate", "converged"}
         assert payload["converged"] is False
         assert code == 6
+
+    def test_non_finite_numbers_are_written_as_null(self, capsys, monkeypatch):
+        # Strict JSON (RFC 8259) has no NaN or Infinity literal.
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        nan = float("nan")
+        monkeypatch.setattr(cli, "integrate_density",
+                            lambda *a, **k: QuadratureResult(nan, nan, 1, False))
+        code, out, _ = run_cli(["expect", "--degree", "2"], capsys)
+        assert code == 6
+        payload = json.loads(out, parse_constant=reject)
+        assert payload == {"value": None, "error_estimate": None, "converged": False}
+
+        code, out, _ = run_cli(["compare", "--degree", "2", "--trials", "400"], capsys)
+        assert code == 2
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["quadrature"]["value"] is None
+        assert payload["z_score"] is None
+        assert payload["agree"] is False
+        assert payload["mc"]["trials"] == 400
 
     def test_reduce_check_passes(self, capsys):
         code, out, _ = run_cli(["reduce-check", "--seed", "5"], capsys)

@@ -25,6 +25,7 @@ from levelcross import (
     zero_level_density,
     zero_mean_density,
 )
+import levelcross.density as density
 from conftest import disk_point, random_level, random_mean_profile, random_zero_mean_profile, rel_dev
 
 UNIT_PROFILE = CoefficientProfile.iid(3)
@@ -112,6 +113,39 @@ class TestReductions:
 
 
 class TestGeneralMeanDiagnostics:
+    def test_one_determinant_per_call(self, monkeypatch, rng):
+        # h needs one compensated determinant; the display field d0s forms
+        # its own only when read.
+        calls = []
+        original = density.diff_of_products
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(density, "diff_of_products", counted)
+        z = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
+        parts = general_mean_density(random_mean_profile(rng, 4), MonomialBasis(3),
+                                     random_level(rng), z)
+        assert len(calls) == 1
+        parts.d0s
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("degree", [2, 10, 40])
+    def test_plain_forms_at_zero_means(self, rng, degree):
+        # The general record holds the zero-mean plain forms, bit for bit.
+        # h comes from the other assembly, so it agrees to rounding only.
+        profile = random_zero_mean_profile(rng, degree + 1)
+        basis = MonomialBasis(degree)
+        level = random_level(rng)
+        z = rng.uniform(-3, 3, 64) + 1j * rng.uniform(-3, 3, 64)
+        ref = zero_mean_density(profile, basis, level, z)
+        parts = general_mean_density(profile, basis, level, z)
+        for name in ("y1", "y2", "y3", "d0", "d1", "d2", "d3"):
+            np.testing.assert_array_equal(getattr(parts, name), getattr(ref, name))
+        np.testing.assert_allclose(parts.h, ref.h, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(parts.d3s, ref.d3)
+
     def test_common_mean_shifted_form(self, rng):
         # With mu_a = mu_b = mu: y1s = sum(va u^2 + vb v^2) - mu^2 (sum(u - v))^2.
         for _ in range(20):

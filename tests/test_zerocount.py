@@ -15,6 +15,7 @@ from levelcross import (
     MonomialBasis,
     Rectangle,
     TabulatedBasis,
+    WeightedMonomialBasis,
     companion_matrix,
     count_zeros_companion,
     count_zeros_winding,
@@ -201,6 +202,22 @@ class TestEstimator:
         )
         assert est.discarded_trials / est.trials < 0.01
         assert abs(est.mean - quadrature.value) <= 4.0 * est.std_error + quadrature.error_estimate
+
+    def test_zero_top_weight_lowers_the_degree(self):
+        # The member 0 * z^2 vanishes identically, so the sum is the degree-1
+        # polynomial of MonomialBasis(1) over the same keyed slots.
+        level = ComplexLevel(0.3, 0.2)
+        weighted = estimate_expected_count(CoefficientProfile.iid(3),
+                                           WeightedMonomialBasis([1.0, 1.0, 0.0]), level,
+                                           SQUARE2, trials=2000, seed=1)
+        plain = estimate_expected_count(CoefficientProfile.iid(2), MonomialBasis(1), level,
+                                        SQUARE2, trials=2000, seed=1)
+        assert weighted == plain and weighted.mean > 0
+        # A degree-0 remainder eta_0 - K has no zeros.
+        constant = estimate_expected_count(CoefficientProfile.iid(2),
+                                           WeightedMonomialBasis([1.0, 0.0]), level,
+                                           SQUARE2, trials=200, seed=1)
+        assert constant.mean == 0.0 and constant.discarded_trials == 0
 
     def test_discard_abort(self, monkeypatch):
         def always_hits(coeff_rows, level, region):
