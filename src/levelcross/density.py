@@ -341,8 +341,9 @@ def equal_variance_density(sigma2: float, basis: BasisFamily, level, z) -> Equal
     if np.any(b0 <= 0.0):
         raise DegeneratePointError("all basis functions vanish at an evaluation point")
     ksq = level.k1**2 + level.k2**2
-    ab1 = b1.real**2 + b1.imag**2
-    braces = b2 - (ab1 / b0**2) * (b0 - ksq / (2.0 * sigma2))
+    # |B1|^2 and B0^2 overflow at high degree where |B1| / B0 does not.
+    ratio = np.abs(b1) / b0
+    braces = b2 - (ratio * ratio) * (b0 - ksq / (2.0 * sigma2))
     h = np.exp(-ksq / (2.0 * sigma2 * b0)) / (np.pi * b0) * braces
     return EqualVarianceParts(b0=b0, b1=b1, b2=b2, sigma2=float(sigma2), h=h)
 

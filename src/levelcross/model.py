@@ -81,18 +81,6 @@ class Rectangle:
                 f"rectangle must satisfy x_min < x_max and y_min < y_max, got {vals}"
             )
 
-    @property
-    def width(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def height(self) -> float:
-        return self.y_max - self.y_min
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
     def contains(self, z: np.ndarray) -> np.ndarray:
         """Strict interior test for complex points."""
         z = np.asarray(z)

@@ -2,17 +2,20 @@
 
 Tensor-product Gauss-Kronrod cells: the 7-point Gauss rule embedded in the
 15-point Kronrod extension supplies the error reference at no extra function
-evaluations.  Cells whose error exceeds their area share of the tolerance are
-split along their longer axis.  The integrand is smooth away from degenerate
-points, so per-cell convergence is spectral and the deterministic result is
-independent of the stochastic verification path.
+evaluations.  Refinement stops once the summed error of all cells is within
+the tolerance (the global rule of QUADPACK and DCUHRE); until then, every
+cell whose error exceeds an equal share of the tolerance is split along its
+longer axis.  The integrand is smooth away from degenerate points, so
+per-cell convergence is spectral and the deterministic result is independent
+of the stochastic verification path.
 
 The driver works one refinement pass at a time.  The cells are rows of
 arrays (corners, values, errors) kept in spatial order; a pass splits every
-cell over budget and evaluates all the children together, ``CELLS_PER_CALL``
-cells per evaluator call, their 15x15 node grids stacked along axis 0.  The
-evaluator contract is therefore: pointwise, any 2-D complex grid in, real
-values of the same shape out.  A pass of one cell hands it one (15, 15) grid.
+cell over its share and evaluates all the children together,
+``CELLS_PER_CALL`` cells per evaluator call, their 15x15 node grids stacked
+along axis 0.  The evaluator contract is therefore: pointwise, any 2-D
+complex grid in, real values of the same shape out.  A pass of one cell
+hands it one (15, 15) grid.
 """
 
 from __future__ import annotations
@@ -73,8 +76,11 @@ CELLS_PER_CALL = 32
 class QuadratureResult:
     """Deterministic estimate of the integral of h over a rectangle.
 
-    ``passes`` counts the refinement passes after the first cell, and
-    ``evaluations`` the integrand points evaluated (225 per cell evaluated).
+    ``error_estimate`` is the sum of the cells' ``|Kronrod - Gauss|``
+    errors; when ``converged`` it is at most
+    ``max(abs_tol, rel_tol * |value|)``.  ``passes`` counts the refinement
+    passes after the first cell, and ``evaluations`` the integrand points
+    evaluated (225 per cell evaluated).
     """
 
     value: float
@@ -145,17 +151,18 @@ def integrate_density(
     The evaluator must act pointwise: it receives a 2-D complex grid of any
     shape and returns real values of the same shape.
 
-    A cell's error budget is ``tolerance * cell_area / region_area`` with
-    ``tolerance = max(abs_tol, rel_tol * |current total|)``; once every cell
-    is within budget, the total error is within tolerance.  Each pass splits
-    every cell over budget, or the worst ``max_cells - cells`` of them (a
-    stable sort on descending error), and evaluates all the children
-    together.  Reaching ``max_cells`` returns the best estimate with
-    ``converged=False`` rather than raising, and so does a non-finite cell
-    value or error (the evaluator overflowed somewhere in the region):
-    refining cannot repair it, and a NaN error would never exceed its
-    budget.  Evaluator exceptions (e.g. degenerate points inside the region)
-    propagate to the caller.
+    Refinement stops, with ``converged=True``, once the summed cell error
+    is within ``tolerance = max(abs_tol, rel_tol * |current total|)``, so
+    the returned ``error_estimate`` is within that tolerance.  Until then,
+    each pass splits every cell whose error exceeds ``tolerance / cells``,
+    or the worst ``max_cells - cells`` of them (a stable sort on descending
+    error), and evaluates all the children together; should rounding leave
+    no cell over its share, the worst cell is split.  Reaching ``max_cells``
+    returns the best estimate with ``converged=False`` rather than raising,
+    and so does a non-finite cell value or error (the evaluator overflowed
+    somewhere in the region): refining cannot repair it.  Evaluator
+    exceptions (e.g. degenerate points inside the region) propagate to the
+    caller.
 
     The final reduction sums cell contributions in fixed spatial list order,
     so the result does not depend on evaluation scheduling.
@@ -164,7 +171,6 @@ def integrate_density(
         raise ConfigurationError("tolerances must be positive")
     if max_cells < 1:
         raise ConfigurationError("max_cells must be at least 1")
-    area_total = region.area
     boxes = np.array([[region.x_min, region.x_max, region.y_min, region.y_max]], dtype=np.float64)
     values, errors = _evaluate_cells(evaluator, boxes)
     passes, evaluated = 0, 1
@@ -177,13 +183,15 @@ def integrate_density(
         total = math.fsum(values)
         error = math.fsum(errors)
         tolerance = max(abs_tol, rel_tol * abs(total))
-        areas = (boxes[:, 1] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 2])
-        offenders = np.flatnonzero(errors > tolerance * (areas / area_total))
-        if not len(offenders):
+        if error <= tolerance:
             return QuadratureResult(total, error, cells, True, **stats)
         room = max_cells - cells
         if room <= 0:
             return QuadratureResult(total, error, cells, False, **stats)
+        offenders = np.flatnonzero(errors > tolerance / cells)
+        if not len(offenders):
+            # Rounding can put every cell at its share while the sum is over.
+            offenders = np.argmax(errors, keepdims=True)
         split = np.zeros(cells, dtype=bool)
         if len(offenders) > room:
             offenders = offenders[np.argsort(-errors[offenders], kind="stable")[:room]]

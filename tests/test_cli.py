@@ -181,6 +181,17 @@ class TestScalarCommands:
         assert payload["converged"] is False
         assert code == 6
 
+    def test_expect_at_degree_80_satisfies_count_law(self, capsys):
+        # Theorem 3 (iid unit variances) stays in range over [-20, 20]^2.
+        code, out, _ = run_cli(
+            ["expect", "--degree", "80", "--x-min=-20", "--x-max", "20",
+             "--y-min=-20", "--y-max", "20"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] is True
+        assert abs(payload["value"] - 80.0) < 1e-2
+
     def test_non_finite_numbers_are_written_as_null(self, capsys, monkeypatch):
         # Strict JSON (RFC 8259) has no NaN or Infinity literal.
         def reject(token):

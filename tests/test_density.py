@@ -15,6 +15,7 @@ from levelcross import (
     MonomialBasis,
     TabulatedBasis,
     TimeGrid,
+    WeightedMonomialBasis,
     brownian_density,
     brownian_density_direct,
     conditioned_jacobian_density,
@@ -335,6 +336,21 @@ class TestContractsAndErrors:
             h = float(general_mean_density(profile, basis, level, z).h)
         assert np.isfinite(h)
         assert rel_dev(h, conditioned_jacobian_density(profile, basis, level, z)) < 1e-9
+
+    @pytest.mark.parametrize("radius", [10.0, 20.0, 28.0])
+    def test_equal_variance_no_overflow_at_degree_80(self, radius):
+        # |B1|^2 and B0^2 are out of double range here.  Scaling every f_j
+        # and the level by one factor c leaves h unchanged, and c = r^-80
+        # keeps every sum in range.
+        level = ComplexLevel(1.0, 0.5)
+        z = radius * np.exp(0.7j)
+        c = radius**-80
+        with np.errstate(over="raise", invalid="raise"):
+            h = float(equal_variance_density(1.0, MonomialBasis(80), level, z).h)
+            scaled = float(equal_variance_density(
+                1.0, WeightedMonomialBasis([c] * 81), ComplexLevel(c, 0.5 * c), z).h)
+        assert np.isfinite(h)
+        assert rel_dev(h, scaled) < 1e-8
 
     def test_density_is_evaluated_in_bounded_blocks(self, rng):
         # One full (terms, products, points) array at degree 40 on 10 000

@@ -11,12 +11,24 @@ from levelcross import (
     Rectangle,
     equal_variance_density,
     general_mean_density,
-    integrate_density,
+    quadrature,
     zero_mean_density,
 )
 from levelcross.quadrature import GAUSS_INDEX, GAUSS_WEIGHTS, KRONROD_NODES, KRONROD_WEIGHTS
 
 UNIT_SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
+
+
+def integrate_density(evaluator, region, abs_tol, rel_tol, *args, **kwargs):
+    """``quadrature.integrate_density``, checking the stopping contract.
+
+    Every converged result must have its summed error estimate within
+    ``max(abs_tol, rel_tol * |value|)``.
+    """
+    result = quadrature.integrate_density(evaluator, region, abs_tol, rel_tol, *args, **kwargs)
+    if result.converged:
+        assert result.error_estimate <= max(abs_tol, rel_tol * abs(result.value))
+    return result
 
 
 class TestRuleConstants:
@@ -100,7 +112,7 @@ class TestAdaptivity:
             integrate_density(bad, UNIT_SQUARE, 1e-6, 1e-6)
 
     def test_nan_node_is_not_converged(self):
-        # A NaN error never exceeds its budget; it must not pass as converged.
+        # A NaN cell must not pass as converged, nor be refined further.
         def one_nan(z):
             values = np.ones_like(z.real)
             values[3, 5] = np.nan
@@ -136,6 +148,14 @@ class TestAdaptivity:
         assert result.converged
         assert abs(result.value - 40.0) < 1e-2
 
+    def test_degree_40_stops_at_the_global_budget(self):
+        # The summed error estimate, not a per-cell area share, stops the
+        # refinement; a per-cell rule spends more than 1000 cells here.
+        result = _count_over_square(40, with_means=False)
+        assert result.converged
+        assert abs(result.value - 40.0) < 1e-2
+        assert result.cells_used < 600
+
     def test_invalid_tolerances(self):
         with pytest.raises(ConfigurationError):
             integrate_density(lambda z: z.real, UNIT_SQUARE, 0.0, 1e-6)
@@ -169,18 +189,32 @@ class TestPassBatching:
     @pytest.mark.parametrize("integrand, region, tol, max_cells, cells, value", [
         # Truncated by max_cells: the worst cells are split first.
         (lambda z: 1.0 / (1e-6 + (z.real - 0.3) ** 2 + (z.imag + 0.1) ** 2),
-         Rectangle(-1.0, 1.0, -1.0, 1.0), 1e-12, 77, 77, 63.506821892247295),
+         Rectangle(-1.0, 1.0, -1.0, 1.0), 1e-12, 77, 77, 62.38933411234591),
         # Integer bounds: midpoints must not truncate.
         (lambda z: np.exp(-4 * np.abs(z - (0.5 + 0.25j)) ** 2) * (1 + z.real**2),
-         Rectangle(-3, 2, -1, 2), 1e-11, 20000, 52, 1.0796562386577573),
+         Rectangle(-3, 2, -1, 2), 1e-11, 20000, 51, 1.0796562386577573),
     ], ids=["truncated", "integer-bounds"])
     def test_refinement_is_pinned(self, integrand, region, tol, max_cells, cells, value):
-        # Pinned numbers: how cells are grouped into evaluator calls must not
-        # change which cells are refined.
+        # Pinned numbers: which cells are refined is a fixed function of the
+        # integrand, the region and the tolerances.
         result = integrate_density(integrand, region, tol, tol, max_cells)
         assert result.cells_used == cells
         assert result.converged == (cells < max_cells)
         assert abs(result.value - value) <= 1e-13 * abs(value)
+
+    def test_refinement_does_not_depend_on_grouping(self, monkeypatch):
+        # A narrow peak whose per-cell errors reach the rounding floor of
+        # |Kronrod - Gauss|; how cells are grouped into evaluator calls moves
+        # those errors in the last bits, and must not change which cells are
+        # refined.
+        f = lambda z: 1.0 / (9.77e-6 + np.abs(z - (0.5 + 0.25j)) ** 2)
+        outcomes = set()
+        for per_call in (1, 5, 32):
+            monkeypatch.setattr(quadrature, "CELLS_PER_CALL", per_call)
+            result = integrate_density(f, Rectangle(-1, 3, -1, 2), 1.43e-11, 1.43e-11)
+            assert result.converged
+            outcomes.add((result.cells_used, result.passes, result.value))
+        assert len(outcomes) == 1
 
 
 def _count_over_square(degree: int, with_means: bool):
