@@ -49,7 +49,7 @@ from .zerocount import (
     count_zeros_winding,
     estimate_expected_count,
 )
-from .rng import StreamKey, normal, standard_normal_block
+from .rng import StreamKey, standard_normal_block
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "general_mean_density",
     "integrate_density",
     "moments_path_density",
-    "normal",
     "standard_normal_block",
     "validate_basis",
     "zero_level_density",

@@ -63,8 +63,8 @@ from .model import (
     WeightedMonomialBasis,
     build_brownian_basis,
 )
-from .quadrature import integrate_density
-from .zerocount import estimate_expected_count
+from .quadrature import QuadratureResult, integrate_density
+from .zerocount import MCEstimate, estimate_expected_count
 
 __all__ = ["RunConfig", "main", "parse_flat_config", "emit_flat_config"]
 
@@ -351,6 +351,27 @@ def cmd_density(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
+def _quadrature_record(result: QuadratureResult) -> dict:
+    """JSON fields of a quadrature result, as ``expect`` and ``compare`` write them."""
+    return {
+        "value": result.value,
+        "error_estimate": result.error_estimate,
+        "converged": result.converged,
+    }
+
+
+def _mc_record(estimate: MCEstimate) -> dict:
+    """JSON fields of a Monte Carlo estimate, as ``mc`` and ``compare`` write them."""
+    return {
+        "trials": estimate.trials,
+        "mean": estimate.mean,
+        "std_error": estimate.std_error,
+        "ci_low": estimate.ci_low,
+        "ci_high": estimate.ci_high,
+        "discarded": estimate.discarded_trials,
+    }
+
+
 def cmd_expect(config: RunConfig, out_path: str | None) -> int:
     """Integrate h over the region; exit 6 when the quadrature did not converge."""
     field, _ = config.density_field()
@@ -359,14 +380,7 @@ def cmd_expect(config: RunConfig, out_path: str | None) -> int:
         field, region,
         abs_tol=config.abs_tol, rel_tol=config.rel_tol, max_cells=config.max_cells,
     )
-    _json_dump(
-        {
-            "value": result.value,
-            "error_estimate": result.error_estimate,
-            "converged": result.converged,
-        },
-        out_path,
-    )
+    _json_dump(_quadrature_record(result), out_path)
     return 0 if result.converged else 6
 
 
@@ -375,17 +389,7 @@ def cmd_mc(config: RunConfig, out_path: str | None) -> int:
     estimate = estimate_expected_count(
         profile, basis, level, region, trials=config.trials, seed=config.seed
     )
-    _json_dump(
-        {
-            "trials": estimate.trials,
-            "mean": estimate.mean,
-            "std_error": estimate.std_error,
-            "ci_low": estimate.ci_low,
-            "ci_high": estimate.ci_high,
-            "discarded": estimate.discarded_trials,
-        },
-        out_path,
-    )
+    _json_dump(_mc_record(estimate), out_path)
     return 0
 
 
@@ -415,19 +419,8 @@ def cmd_compare(config: RunConfig, out_path: str | None) -> int:
     )
     _json_dump(
         {
-            "quadrature": {
-                "value": quad.value,
-                "error_estimate": quad.error_estimate,
-                "converged": quad.converged,
-            },
-            "mc": {
-                "trials": mc.trials,
-                "mean": mc.mean,
-                "std_error": mc.std_error,
-                "ci_low": mc.ci_low,
-                "ci_high": mc.ci_high,
-                "discarded": mc.discarded_trials,
-            },
+            "quadrature": _quadrature_record(quad),
+            "mc": _mc_record(mc),
             "z_score": None if z_score is None else float(z_score),
             "agree": bool(agree),
         },

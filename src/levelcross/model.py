@@ -29,6 +29,17 @@ __all__ = [
     "validate_basis",
 ]
 
+# validate_basis: points sampled from a fixed seed in the square
+# [-_VALIDATE_BOX, _VALIDATE_BOX]^2, the central-difference step, the relative
+# tolerance of the derivative check, and the tolerance on imaginary parts on
+# the real line.
+_VALIDATE_SAMPLES = 100
+_VALIDATE_BOX = 2.0
+_VALIDATE_SEED = 0
+_VALIDATE_STEP = 1e-5
+_VALIDATE_RTOL = 1e-6
+_VALIDATE_REAL_TOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # Scalar-ish value objects
@@ -332,10 +343,6 @@ class PrefixSumBasis(BasisFamily):
         self._inner = inner
 
     @property
-    def inner(self) -> BasisFamily:
-        return self._inner
-
-    @property
     def count(self) -> int:
         return self._inner.count
 
@@ -359,7 +366,9 @@ class TabulatedBasis(BasisFamily):
 
     Derivatives are trusted at evaluation time; run ``validate_basis`` once to
     check the Cauchy-Riemann and real-on-real contracts of the callbacks.
-    Callbacks must accept complex numpy arrays.
+    Callbacks must accept complex numpy arrays.  Monte Carlo estimation
+    counts blocks of trials on several threads, so the callbacks may be
+    called from several threads at once.
     """
 
     def __init__(self, pairs: Sequence[tuple[Callable, Callable]]):
@@ -404,16 +413,7 @@ def build_brownian_basis(inner: BasisFamily, grid: TimeGrid) -> tuple[PrefixSumB
     return PrefixSumBasis(inner), profile
 
 
-def validate_basis(
-    basis: BasisFamily,
-    *,
-    n_samples: int = 100,
-    box: float = 2.0,
-    seed: int = 0,
-    step: float = 1e-5,
-    rtol: float = 1e-6,
-    real_tol: float = 1e-12,
-) -> None:
+def validate_basis(basis: BasisFamily) -> None:
     """Check the analyticity and real-on-real contracts of a basis family.
 
     Raises ``ConfigurationError`` if, at sampled points, the supplied
@@ -421,26 +421,27 @@ def validate_basis(
     (f(z + eps) - f(z - eps)) / (2 eps) for eps along both axes, or if values
     or derivatives have nonvanishing imaginary part on the real line.
     """
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-box, box, n_samples) + 1j * rng.uniform(-box, box, n_samples)
-    vals, derivs = basis.values_and_derivatives(z)
-    for eps in (step, 1j * step):
+    rng = np.random.default_rng(_VALIDATE_SEED)
+    z = (rng.uniform(-_VALIDATE_BOX, _VALIDATE_BOX, _VALIDATE_SAMPLES)
+         + 1j * rng.uniform(-_VALIDATE_BOX, _VALIDATE_BOX, _VALIDATE_SAMPLES))
+    _, derivs = basis.values_and_derivatives(z)
+    for eps in (_VALIDATE_STEP, 1j * _VALIDATE_STEP):
         plus, _ = basis.values_and_derivatives(z + eps)
         minus, _ = basis.values_and_derivatives(z - eps)
         fd = (plus - minus) / (2.0 * eps)
         err = np.abs(fd - derivs)
         scale = 1.0 + np.abs(derivs)
-        if np.any(err > rtol * scale):
+        if np.any(err > _VALIDATE_RTOL * scale):
             j, i = np.unravel_index(np.argmax(err / scale), err.shape)
             raise ConfigurationError(
                 f"member {j} fails the central-difference derivative check at "
                 f"z={z[i]:.6g} (direction {eps!r}): got {derivs[j, i]:.6g}, "
                 f"difference quotient {fd[j, i]:.6g}"
             )
-    x = rng.uniform(-5.0, 5.0, n_samples).astype(np.complex128)
+    x = rng.uniform(-5.0, 5.0, _VALIDATE_SAMPLES).astype(np.complex128)
     vals, derivs = basis.values_and_derivatives(x)
     for name, arr in (("value", vals), ("derivative", derivs)):
-        bad = np.abs(arr.imag) > real_tol * (1.0 + np.abs(arr))
+        bad = np.abs(arr.imag) > _VALIDATE_REAL_TOL * (1.0 + np.abs(arr))
         if np.any(bad):
             j = int(np.argwhere(bad)[0][0])
             raise ConfigurationError(f"member {j} {name} is not real on the real line")

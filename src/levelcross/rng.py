@@ -71,15 +71,6 @@ def standard_normal(key: StreamKey) -> float:
     return float(np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2))
 
 
-def normal(key: StreamKey, mu: float = 0.0, sigma: float = 1.0) -> float:
-    """One N(mu, sigma^2) draw; ``sigma = 0`` returns ``mu`` exactly."""
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return float(mu)
-    return float(mu) + float(sigma) * standard_normal(key)
-
-
 def standard_normal_block(seed: int, trials: int, slots: int, first_trial: int = 0) -> np.ndarray:
     """N(0,1) draws for a block of the key grid, shape ``(trials, slots)``.
 

@@ -6,15 +6,17 @@ confidence interval for the expected count.  For polynomial bases a
 companion-matrix eigenvalue counter provides both a faster default and an
 independent second oracle.
 
-The companion route works in blocks of at most ``_BLOCK_ENTRIES`` companion
-matrix entries (trials x degree^2).  Each block draws its own rows of the
-keyed random grid, maps them to polynomial coefficients and counts the
-eigenvalues of its matrices, so memory stays bounded at any trial count and
-degree.  The blocks run on one thread per CPU the process may use, the
-calling thread among them; ``np.linalg.eigvals`` and the large ufuncs release
-the GIL.  Block results are concatenated in trial order before the reduction,
-so an estimate is bit-for-bit the same whatever the block size or the number
-of threads.  The winding route runs in Python under the GIL and stays serial.
+Both counters work through one driver, in blocks of at most
+``_BLOCK_ENTRIES`` companion matrix entries (trials x degree^2).  Each block
+draws its own rows of the keyed random grid and counts them with the chosen
+counter: the companion counter maps them to polynomial coefficients and
+counts the eigenvalues of their matrices, the winding counter traverses the
+boundary once per row.  Memory therefore stays bounded at any trial count and
+degree.  The blocks run on a thread pool of one thread per CPU the process
+may use; ``np.linalg.eigvals`` and the large ufuncs release the GIL, while
+the winding counter runs mostly in Python under it.  Block results are
+concatenated in trial order before the one reduction, so an estimate is
+bit-for-bit the same whatever the block size or the number of threads.
 
 Trials whose zero set touches the region boundary cannot be counted reliably;
 they are discarded and reported (the zero set of a fixed draw meets the
@@ -25,7 +27,7 @@ numerical guard, and the discard counter keeps the approximation auditable).
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +150,22 @@ def count_zeros_winding(eta: np.ndarray, basis: BasisFamily, level, region: Rect
         s = np.sort(np.concatenate([s, midpoints]))
 
 
+def _winding_counts_batch(eta_rows: np.ndarray, basis: BasisFamily, level, region: Rectangle):
+    """Winding counts for one coefficient row per trial.
+
+    Returns (counts, discard_mask); rows that raise ``BoundaryHitError`` are
+    flagged for discard.
+    """
+    counts = np.zeros(len(eta_rows), dtype=np.int64)
+    discard = np.zeros(len(eta_rows), dtype=bool)
+    for t, eta in enumerate(eta_rows):
+        try:
+            counts[t] = count_zeros_winding(eta, basis, level, region)
+        except BoundaryHitError:
+            discard[t] = True
+    return counts, discard
+
+
 # ---------------------------------------------------------------------------
 # Companion-matrix counter
 # ---------------------------------------------------------------------------
@@ -248,50 +266,18 @@ def _worker_count() -> int:
 def _map_blocks(task, items) -> list:
     """``[task(item) for item in items]``, computed on up to ``_worker_count()`` threads.
 
-    The calling thread pulls items too, so no more compute threads run than
-    there are CPUs; a single item or a single worker starts no thread.  The
-    first exception a task raises stops the pulling and is re-raised here.
+    A single item or a single worker starts no thread.  The first exception
+    a task raises cancels the tasks not yet started and is re-raised here.
     """
     workers = min(len(items), _worker_count())
     if workers <= 1:
         return [task(item) for item in items]
-    results = [None] * len(items)
-    pending = iter(range(len(items)))
-    lock = threading.Lock()
-    failures = []
-
-    def pull():
+    with ThreadPoolExecutor(workers) as pool:
         try:
-            while not failures:
-                with lock:
-                    k = next(pending, None)
-                if k is None:
-                    return
-                results[k] = task(items[k])
-        except BaseException as exc:  # re-raised in the calling thread
-            failures.append(exc)
-
-    helpers = [threading.Thread(target=pull) for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
-    pull()
-    for helper in helpers:
-        helper.join()
-    if failures:
-        raise failures[0]
-    return results
-
-
-def _companion_counts(profile, basis, level, region, trials: int, seed: int):
-    """(counts, discard_mask) of every trial, counted in blocks of trials."""
-    size = max(1, _BLOCK_ENTRIES // max(1, profile.size - 1) ** 2)
-
-    def block(first):
-        eta = _sample_coefficients(profile, min(size, trials - first), seed, first)
-        return _companion_counts_batch(basis.polynomial_coefficients(eta), level, region)
-
-    parts = _map_blocks(block, range(0, trials, size))
-    return np.concatenate([c for c, _ in parts]), np.concatenate([d for _, d in parts])
+            return list(pool.map(task, items))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def estimate_expected_count(
@@ -312,9 +298,9 @@ def estimate_expected_count(
     or "auto" (companion whenever the basis exposes polynomial coefficients).
 
     Each trial's randomness is a pure function of (seed, trial index), so the
-    estimate is reproducible regardless of scheduling; the companion route
-    counts blocks of trials on several threads, and the reduction runs in
-    trial order.  Aborts with ``DiscardRateError`` when at least 1% of trials
+    estimate is reproducible regardless of scheduling; either counter counts
+    blocks of trials on several threads, and the one reduction runs in trial
+    order.  Aborts with ``DiscardRateError`` when at least 1% of trials
     hit the boundary, which signals that the region boundary passes through a
     high-density zone.
     """
@@ -328,26 +314,27 @@ def estimate_expected_count(
         raise ConfigurationError("companion counting needs a polynomial basis")
 
     if polynomial and method != "winding":
-        counts, discard = _companion_counts(profile, basis, level, region, trials, seed)
-        kept = counts[~discard]
-        discarded = int(np.count_nonzero(discard))
+        def count(eta):
+            return _companion_counts_batch(basis.polynomial_coefficients(eta), level, region)
     else:
-        eta = _sample_coefficients(profile, trials, seed)
-        kept_list = []
-        discarded = 0
-        for t in range(trials):
-            try:
-                kept_list.append(count_zeros_winding(eta[t], basis, level, region))
-            except BoundaryHitError:
-                discarded += 1
-        kept = np.asarray(kept_list, dtype=np.float64)
+        def count(eta):
+            return _winding_counts_batch(eta, basis, level, region)
+    size = max(1, _BLOCK_ENTRIES // max(1, profile.size - 1) ** 2)
+
+    def block(first):
+        return count(_sample_coefficients(profile, min(size, trials - first), seed, first))
+
+    parts = _map_blocks(block, range(0, trials, size))
+    counts = np.concatenate([c for c, _ in parts])
+    discard = np.concatenate([d for _, d in parts])
+    discarded = int(np.count_nonzero(discard))
 
     if discarded / trials >= 0.01:
         raise DiscardRateError(
             f"{discarded} of {trials} trials hit the region boundary; "
             "the boundary likely passes through a high-density zone"
         )
-    kept = np.asarray(kept, dtype=np.float64)
+    kept = counts[~discard].astype(np.float64)
     mean = float(kept.mean())
     std_error = float(kept.std(ddof=1) / np.sqrt(kept.size)) if kept.size > 1 else 0.0
     return MCEstimate(

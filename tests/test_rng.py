@@ -4,29 +4,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levelcross import StreamKey, normal, standard_normal_block
+from levelcross import StreamKey, standard_normal_block
 from levelcross.rng import standard_normal
 
 
 def test_same_key_same_value():
     key = StreamKey(seed=123, trial=45, slot=6)
-    assert normal(key, 1.5, 2.0) == normal(key, 1.5, 2.0)
+    assert standard_normal(key) == standard_normal(key)
 
 
 def test_distinct_keys_differ():
-    base = normal(StreamKey(1, 2, 3))
-    assert normal(StreamKey(1, 2, 4)) != base
-    assert normal(StreamKey(1, 3, 3)) != base
-    assert normal(StreamKey(2, 2, 3)) != base
-
-
-def test_zero_sigma_returns_mu_exactly():
-    assert normal(StreamKey(7, 0, 0), mu=3.25, sigma=0.0) == 3.25
-
-
-def test_negative_sigma_rejected():
-    with pytest.raises(ValueError):
-        normal(StreamKey(0, 0, 0), sigma=-1.0)
+    base = standard_normal(StreamKey(1, 2, 3))
+    assert standard_normal(StreamKey(1, 2, 4)) != base
+    assert standard_normal(StreamKey(1, 3, 3)) != base
+    assert standard_normal(StreamKey(2, 2, 3)) != base
 
 
 def test_block_matches_scalar_path():

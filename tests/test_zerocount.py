@@ -231,7 +231,7 @@ class TestEstimator:
 
 
 class TestTrialBlocks:
-    """The companion route counts blocks of trials, possibly on several threads."""
+    """Both counters count blocks of trials, possibly on several threads."""
 
     PROFILE = CoefficientProfile.iid(4, mu_a=0.2)
     BASIS = MonomialBasis(3)
@@ -240,20 +240,24 @@ class TestTrialBlocks:
     TRIALS = 1037  # not a multiple of the 50-trial blocks below
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_blocks_match_one_batch(self, monkeypatch, workers):
-        batch = zerocount._companion_counts_batch
+    @pytest.mark.parametrize("method", ["companion", "winding"])
+    def test_blocks_match_one_batch(self, monkeypatch, method, workers):
+        name = f"_{method}_counts_batch"
+        batch = getattr(zerocount, name)
 
-        def with_rare_discards(coeff_rows, level, region):
+        def with_rare_discards(rows, *args):
             # Discard about 0.5% of trials, so that misplaced discard masks
             # would change the mean.
-            counts, discard = batch(coeff_rows, level, region)
-            return counts, discard | (coeff_rows[:, 0].real > 2.8)
+            counts, discard = batch(rows, *args)
+            return counts, discard | (rows[:, 0].real > 2.8)
 
-        monkeypatch.setattr(zerocount, "_companion_counts_batch", with_rare_discards)
+        monkeypatch.setattr(zerocount, name, with_rare_discards)
         eta = zerocount._sample_coefficients(self.PROFILE, self.TRIALS, 8)
-        counts, discard = with_rare_discards(
-            self.BASIS.polynomial_coefficients(eta), self.LEVEL, self.REGION
-        )
+        if method == "companion":
+            rows, args = self.BASIS.polynomial_coefficients(eta), ()
+        else:
+            rows, args = eta, (self.BASIS,)
+        counts, discard = with_rare_discards(rows, *args, self.LEVEL, self.REGION)
         kept = counts[~discard].astype(np.float64)
         reference = (
             float(kept.mean()),
@@ -265,7 +269,7 @@ class TestTrialBlocks:
         monkeypatch.setattr(zerocount, "_BLOCK_ENTRIES", 50 * 3**2)
         monkeypatch.setattr(zerocount, "_worker_count", lambda: workers)
         est = estimate_expected_count(self.PROFILE, self.BASIS, self.LEVEL, self.REGION,
-                                      trials=self.TRIALS, seed=8)
+                                      trials=self.TRIALS, seed=8, method=method)
         assert (est.mean, est.std_error, est.discarded_trials) == reference
 
     def test_block_error_propagates(self, monkeypatch):
@@ -281,7 +285,7 @@ class TestTrialBlocks:
 
     def test_one_block_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(zerocount, "_worker_count", lambda: 3)
-        monkeypatch.setattr(zerocount, "threading", None)
+        monkeypatch.setattr(zerocount, "ThreadPoolExecutor", None)
         est = estimate_expected_count(self.PROFILE, self.BASIS, self.LEVEL, self.REGION,
                                       trials=self.TRIALS, seed=8)
         assert est.trials == self.TRIALS
@@ -299,3 +303,18 @@ class TestTrialBlocks:
             tracemalloc.stop()
         assert est.trials == 20000
         assert peak < 16 * 2**20
+
+    def test_winding_trials_are_sampled_in_bounded_blocks(self, monkeypatch):
+        # Sampling all 20 000 degree-10 trials at once holds about 20 MB of
+        # draws and their intermediates; blocks keep the peak far below that.
+        monkeypatch.setattr(zerocount, "count_zeros_winding", lambda *args: 0)
+        tracemalloc.start()
+        try:
+            est = estimate_expected_count(CoefficientProfile.iid(11), MonomialBasis(10),
+                                          ComplexLevel(1.0, 0.5), self.REGION,
+                                          trials=20000, seed=1, method="winding")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.trials == 20000 and est.mean == 0.0
+        assert peak < 4 * 2**20
