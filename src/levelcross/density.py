@@ -26,6 +26,16 @@ concurrently.  The two oracles are deliberately scalar and slow: they recompute 
 from first principles (conditional moments of the Jacobian determinant times
 the Gaussian density of the field) without sharing the assembled formulas,
 and exist to cross-check the closed forms.
+
+Theorems 2 and 4 share one set of quadratic forms (y1, y2, y3, d1, d2, d3
+and the mean sums), which ``_covariance_parts`` reduces over blocks of
+points by one of two routes.  For ``MonomialBasis`` the derivative
+f_j' = j z^(j-1) is a value one index lower, so the forms come from the
+three power products u_k^2, v_k^2, u_k v_k of z^k = u_k + i v_k; every
+other basis takes the general route over eight value/derivative products.
+The power route writes d1 and d2 through the sums P1, P2 (nonnegative
+terms) and C, not as the half-sums (S1 +- D1)/2 of a Hermitian and a
+bilinear sum, which cancel when var_a and var_b are far apart.
 """
 
 from __future__ import annotations
@@ -40,7 +50,15 @@ from .errors import (
     DegenerateCovarianceError,
     DegeneratePointError,
 )
-from .model import BasisFamily, CoefficientProfile, ComplexLevel, TimeGrid, as_level, build_brownian_basis
+from .model import (
+    BasisFamily,
+    CoefficientProfile,
+    ComplexLevel,
+    MonomialBasis,
+    TimeGrid,
+    as_level,
+    build_brownian_basis,
+)
 # The density does not call neumaier_sum; the name stays bound here because
 # the benchmark tracer wraps it at this module.
 from .numerics import diff_of_products, neumaier_sum  # noqa: F401
@@ -64,7 +82,8 @@ __all__ = [
 _DEGENERACY_FLOOR = 1e-14
 
 # Point-terms (points times basis size) per block of basis evaluation and
-# reduction: about 1 MB of scratch arrays per block.
+# reduction: about 1 MB of scratch arrays per block on the general route
+# (eight product rows), less on the power route (three).
 _BLOCK_TERMS = 8192
 
 
@@ -211,22 +230,14 @@ def _weighted_sums(weights, vals, derivs):
     return sums.reshape((weights.shape[0],) + prods.shape[1:])
 
 
-def _covariance_parts(profile, basis, z, means: bool = False):
-    """Plain quadratic forms at z: y1, y2, y3, det, d0, d1, d2, d3.
+def _product_forms(profile, basis, points, means):
+    """Return (forms, cross, mean_sums) at ``points`` from value/derivative products.
 
-    With ``means`` also ex1, ex2 and m of the mean field.  The forms are
-    sums of products weighted by var_a and var_b, reduced together by
-    ``_weighted_sums``; the mean sums are ex1 + i*ex2 = (mu_a + i*mu_b) @ f
-    and m = (mu_a + i*mu_b) @ f'.  Both run over blocks of points from
-    ``_basis_blocks``.  Plain summation is enough for them: y1, y3 and d3
-    add nonnegative terms, and the one cancellation that matters,
-    y1*y3 - y2^2, goes through the compensated ``diff_of_products``.
-
-    Raises ``DegenerateCovarianceError`` when the determinant falls below the
-    relative floor; the density is undefined there.
+    The general route, for any basis: ``forms`` holds y1, y2, y3, d3 and
+    ``cross`` d1, d2, reduced by ``_weighted_sums`` per block;
+    ``mean_sums`` holds E(S) = mu @ f and m = mu @ f' with
+    mu = mu_a + i*mu_b, or is None without ``means``.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    points = z.reshape(-1)
     weights = np.stack((profile.var_a, profile.var_b))
     mu = profile.mu_a + 1j * profile.mu_b
     forms = np.empty((4, points.size))
@@ -240,7 +251,86 @@ def _covariance_parts(profile, basis, z, means: bool = False):
         cross[:, block] = (a_up + b_vq) + 1j * (a_uq - b_vp), (b_up + a_vq) + 1j * (b_uq - a_vp)
         if means:
             mean_sums[:, block] = mu @ vals, mu @ derivs
-    y1, y2, y3, d3 = forms.reshape((4,) + z.shape)
+    return forms, cross, mean_sums
+
+
+def _power_forms(profile, basis, points, means):
+    """Return what ``_product_forms`` returns, for ``MonomialBasis`` only.
+
+    With z^k = u_k + i v_k and f_j' = j z^(j-1), every derivative product is
+    a value product one index lower, so one matmul per block of the rows
+    u_k^2, v_k^2 and u_k v_k against seven weight rows gives y1, y3, y2, d3
+    and P1 = sum j (a_j u_k^2 + b_j v_k^2),  P2 = sum j (b_j u_k^2 + a_j v_k^2),
+    C = sum j (a_j - b_j) u_k v_k  (j = k + 1, a = var_a, b = var_b).
+    From u_j = x u_k - y v_k and v_j = y u_k + x v_k at z = x + iy,
+    d1 = (x P1 - y C) + i (x C - y P2) and d2 = (x P2 + y C) - i (x C + y P1).
+    """
+    a, b = profile.var_a, profile.var_b
+    n = a.size
+    j = np.arange(1.0, n)
+    # Rows (y1, y3, y2, d3, P1, P2, C) over the column groups (u^2, v^2, uv);
+    # the derivative weights of term j sit at row k = j - 1.
+    weights = np.zeros((7, 3, n))
+    weights[0, 0], weights[0, 1] = a, b
+    weights[1, 0], weights[1, 1] = b, a
+    weights[2, 2] = a - b
+    weights[3, :2, :-1] = j * j * (a[1:] + b[1:])
+    weights[4, 0, :-1], weights[4, 1, :-1] = j * a[1:], j * b[1:]
+    weights[5, 0, :-1], weights[5, 1, :-1] = j * b[1:], j * a[1:]
+    weights[6, 2, :-1] = j * (a[1:] - b[1:])
+    weights = weights.reshape(7, 3 * n)
+    mu = profile.mu_a + 1j * profile.mu_b
+    mu_deriv = np.zeros(n, dtype=np.complex128)
+    mu_deriv[:-1] = j * mu[1:]
+    sums = np.empty((7, points.size))
+    mean_sums = np.empty((2, points.size), dtype=np.complex128) if means else None
+    # The derivatives are computed and dropped: the benchmark tracer hooks
+    # ``values_and_derivatives`` as the basis layer.
+    for block, vals, _ in _basis_blocks(basis, points):
+        prods = np.empty((3,) + vals.shape)
+        np.multiply(vals.real, vals.real, out=prods[0])
+        np.multiply(vals.imag, vals.imag, out=prods[1])
+        np.multiply(vals.real, vals.imag, out=prods[2])
+        np.matmul(weights, prods.reshape(3 * n, -1), out=sums[:, block])
+        if means:
+            # Two vector products, not one (2, n) complex matmul: OpenBLAS's
+            # zgemm kernel leaves the vector registers in a state that makes
+            # the next block's complex cumprod about 15x slower.
+            mean_sums[:, block] = mu @ vals, mu_deriv @ vals
+    y1, y3, y2, d3, p1, p2, c = sums
+    x, y = points.real, points.imag
+    cross = np.empty((2, points.size), dtype=np.complex128)
+    cross[0].real, cross[0].imag = x * p1 - y * c, x * c - y * p2
+    cross[1].real, cross[1].imag = x * p2 + y * c, -(x * c + y * p1)
+    return (y1, y2, y3, d3), cross, mean_sums
+
+
+def _covariance_parts(profile, basis, z, means: bool = False):
+    """Plain quadratic forms at z: y1, y2, y3, det, d0, d1, d2, d3.
+
+    With ``means`` also ex1, ex2 and m of the mean field.  Two routes give
+    the same forms over blocks of points from ``_basis_blocks``:
+
+    - ``_power_forms`` for ``MonomialBasis``: three product rows of the
+      powers z^k, one matmul per block (f_j' = j z^(j-1));
+    - ``_product_forms`` for every other basis: eight value/derivative
+      product rows reduced by ``_weighted_sums``.
+
+    Plain summation is enough for them: y1, y3, d3 and, on the power route,
+    P1 and P2 add nonnegative terms, and the one cancellation that matters,
+    y1*y3 - y2^2, goes through the compensated ``diff_of_products``.  The
+    power route builds d1, d2 from P1, P2 and C rather than as
+    (S1 +- D1)/2 with S1 = sum (a+b) conj(f) f' and D1 = sum (a-b) f f':
+    that half-sum cancels when var_a and var_b differ by orders of
+    magnitude.
+
+    Raises ``DegenerateCovarianceError`` when the determinant falls below the
+    relative floor; the density is undefined there.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    route = _power_forms if isinstance(basis, MonomialBasis) else _product_forms
+    forms, cross, mean_sums = route(profile, basis, z.reshape(-1), means)
+    y1, y2, y3, d3 = (form.reshape(z.shape) for form in forms)
     d1, d2 = cross.reshape((2,) + z.shape)
     det = diff_of_products(y1, y3, y2, y2)
     if np.any(det <= _DEGENERACY_FLOOR * y1 * y3):
@@ -401,7 +491,15 @@ def zero_level_density(profile: CoefficientProfile, basis: BasisFamily, z):
     ad2 = d2.real**2 + d2.imag**2
     d12 = d1 + 1j * d2
     ad12 = d12.real**2 + d12.imag**2
-    return (det * d3 - ad1 * (y2 + y3) - ad2 * (y1 + y2) + ad12 * y2) / (2.0 * np.pi * d0 * det)
+    # The numerator is divided by d0^2 term by term, each factor by d0:
+    # det*d3 and d0*det overflow from |z| of about 20 at degree 40.
+    braces = (
+        d3
+        - (ad1 / d0) * ((y2 + y3) / d0)
+        - (ad2 / d0) * ((y1 + y2) / d0)
+        + (ad12 / d0) * (y2 / d0)
+    )
+    return braces / (2.0 * np.pi * d0)
 
 
 def brownian_density(inner: BasisFamily, grid: TimeGrid, level, z) -> DensityParts:

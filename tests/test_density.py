@@ -337,6 +337,19 @@ class TestContractsAndErrors:
         assert np.isfinite(h)
         assert rel_dev(h, conditioned_jacobian_density(profile, basis, level, z)) < 1e-9
 
+    @pytest.mark.parametrize("radius", [20.0, 25.0])
+    def test_zero_level_no_overflow_at_degree_40_far_out(self, rng, radius):
+        # det*d3 and d0*det are out of double range here; the rational form
+        # divides each factor by d0 first.
+        profile = random_zero_mean_profile(rng, 41, 0.5, 2.0)
+        basis = MonomialBasis(40)
+        z = radius * np.exp(0.7j)
+        with np.errstate(over="raise", invalid="raise"):
+            h = float(zero_level_density(profile, basis, z))
+            ref = float(zero_mean_density(profile, basis, ComplexLevel(0, 0), z).h)
+        assert np.isfinite(h)
+        assert rel_dev(h, ref) < 1e-9
+
     @pytest.mark.parametrize("radius", [10.0, 20.0, 28.0])
     def test_equal_variance_no_overflow_at_degree_80(self, radius):
         # |B1|^2 and B0^2 are out of double range here.  Scaling every f_j
@@ -380,3 +393,63 @@ class TestContractsAndErrors:
         assert h_grid.shape == z.shape
         for idx in np.ndindex(z.shape):
             assert rel_dev(h_grid[idx], float(zero_mean_density(profile, basis, level, z[idx]).h)) < 1e-14
+
+
+class TestPowerRoute:
+    """``MonomialBasis`` forms from the power products against the general route.
+
+    ``WeightedMonomialBasis`` with unit weights has the same members and
+    takes the general route, which forms every value/derivative product.
+    """
+
+    @pytest.mark.parametrize("means", [False, True])
+    @pytest.mark.parametrize("degree", [2, 10, 40])
+    def test_power_route_matches_general_route(self, rng, degree, means):
+        n = degree + 1
+        profile = random_mean_profile(rng, n) if means else random_zero_mean_profile(rng, n)
+        power, general = MonomialBasis(degree), WeightedMonomialBasis(np.ones(n))
+        z = np.exp(rng.uniform(np.log(0.05), np.log(8.0), 2000) + 1j * rng.uniform(0, 2 * np.pi, 2000))
+        got = density._covariance_parts(profile, power, z, means=means)
+        ref = density._covariance_parts(profile, general, z, means=means)
+        names = ("y1", "y2", "y3", "det", "d0", "d1", "d2", "d3") + (("ex1", "ex2", "m") if means else ())
+        got, ref = dict(zip(names, got)), dict(zip(names, ref))
+
+        # Natural scales: the sums of the magnitudes of the terms.
+        vals, derivs = general.values_and_derivatives(z)
+        va, vb = profile.var_a, profile.var_b
+        mu = np.abs(profile.mu_a + 1j * profile.mu_b)
+        scale = {
+            "y2": np.abs(va - vb) @ np.abs(vals.real * vals.imag),
+            "d1": (va + vb) @ (np.abs(vals) * np.abs(derivs)),
+            "ex": mu @ np.abs(vals),
+            "m": mu @ np.abs(derivs),
+        }
+        scale["d2"] = scale["d1"]
+        for name in ("y1", "y3", "d3", "d0"):
+            assert np.max(np.abs(got[name] - ref[name]) / ref[name]) < 1e-14, name
+        for name in ("y2", "d1", "d2") + (("m",) if means else ()):
+            assert np.max(np.abs(got[name] - ref[name]) / scale[name]) < 1e-13, name
+        if means:
+            ex_got, ex_ref = got["ex1"] + 1j * got["ex2"], ref["ex1"] + 1j * ref["ex2"]
+            assert np.max(np.abs(ex_got - ex_ref) / scale["ex"]) < 1e-13
+
+        evaluate = general_mean_density if means else zero_mean_density
+        h_got = evaluate(profile, power, 1 + 0.5j, z).h
+        h_ref = evaluate(profile, general, 1 + 0.5j, z).h
+        assert np.max(np.abs(h_got - h_ref) / np.abs(h_ref)) < 1e-9
+
+    def test_power_route_forms_no_derivative_products(self, monkeypatch, rng):
+        def products_formed(*args):
+            raise RuntimeError("value/derivative products formed")
+
+        monkeypatch.setattr(density, "_weighted_sums", products_formed)
+        zero_mean, with_means = random_zero_mean_profile(rng, 4), random_mean_profile(rng, 4)
+        z = np.array([0.3 + 0.2j, -1.5 + 0.7j])
+        assert np.all(np.isfinite(zero_mean_density(zero_mean, MonomialBasis(3), 1j, z).h))
+        assert np.all(np.isfinite(general_mean_density(with_means, MonomialBasis(3), 1j, z).h))
+        tabulated = TabulatedBasis([(lambda z, k=k: z**k, lambda z, k=k: k * z ** max(k - 1, 0))
+                                    for k in range(4)])
+        with pytest.raises(RuntimeError, match="products formed"):
+            zero_mean_density(zero_mean, tabulated, 1j, z)
+        with pytest.raises(RuntimeError, match="products formed"):
+            general_mean_density(with_means, tabulated, 1j, z)

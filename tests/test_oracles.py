@@ -144,3 +144,46 @@ def test_high_degree_matches_oracle_across_radii(rng, with_means):
     oracle = conditioned_jacobian_density if with_means else moments_path_density
     for z, h in zip(points, closed):
         assert rel_dev(h, oracle(profile, basis, level, z)) < 1e-9
+
+
+def _mpmath_zero_mean_h(mp, profile, level, z):
+    """The zero-mean closed form at one point, every sum in mpmath precision."""
+    z = mp.mpc(z.real, z.imag)
+    y1 = y2 = y3 = d3 = mp.mpf(0)
+    d1 = d2 = mp.mpc(0)
+    for k, (a, b) in enumerate(zip(profile.var_a, profile.var_b)):
+        f = z**k
+        fp = k * z ** (k - 1) if k else mp.mpc(0)
+        u, v, p, q = f.real, f.imag, fp.real, fp.imag
+        y1 += a * u * u + b * v * v
+        y2 += (a - b) * u * v
+        y3 += b * u * u + a * v * v
+        d1 += mp.mpc(a * u * p + b * v * q, a * u * q - b * v * p)
+        d2 += mp.mpc(b * u * p + a * v * q, b * u * q - a * v * p)
+        d3 += (a + b) * (p * p + q * q)
+    k1, k2 = mp.mpf(level.k1), mp.mpf(level.k2)
+    det = y1 * y3 - y2 * y2
+    q1, q2 = k1 * y3 - k2 * y2, k1 * y2 - k2 * y1
+    r = k1 * (y2 + y3) - k2 * (y1 + y2)
+    braces = (d3
+              - abs(d1) ** 2 * ((y2 + y3) / det - q1 * r / det**2)
+              - abs(d2) ** 2 * ((y1 + y2) / det - q2 * r / det**2)
+              + abs(d1 + 1j * d2) ** 2 * (y2 / det - q1 * q2 / det**2))
+    expo = -(k1 * k1 * y3 + k2 * k2 * y1 - 2 * k1 * k2 * y2) / (2 * det)
+    return mp.exp(expo) / (2 * mp.pi * mp.sqrt(det)) * braces
+
+
+@pytest.mark.parametrize("degree", [10, 40])
+def test_closed_form_matches_mpmath(rng, degree):
+    # The assembled closed form against the same formula in 50-digit
+    # arithmetic, so rounding in the double-precision sums and assembly shows.
+    mpmath = pytest.importorskip("mpmath")
+    profile = random_zero_mean_profile(rng, degree + 1, 0.5, 2.0)
+    level = ComplexLevel(1.0, 0.5)
+    radius = np.exp(rng.uniform(np.log(0.25), np.log(8.0), 30))
+    points = radius * np.exp(2j * np.pi * rng.uniform(size=30))
+    closed = zero_mean_density(profile, MonomialBasis(degree), level, points).h
+    with mpmath.workdps(50):
+        for z, h in zip(points, closed):
+            exact = _mpmath_zero_mean_h(mpmath.mp, profile, level, z)
+            assert abs(h - float(exact)) <= 1e-9 * float(abs(exact))
