@@ -34,7 +34,6 @@ from .density import (
     brownian_density,
     brownian_density_direct,
     conditioned_jacobian_density,
-    diagonal_level_density,
     equal_variance_density,
     general_mean_density,
     moments_path_density,
@@ -82,7 +81,6 @@ __all__ = [
     "conditioned_jacobian_density",
     "count_zeros_companion",
     "count_zeros_winding",
-    "diagonal_level_density",
     "equal_variance_density",
     "estimate_expected_count",
     "general_mean_density",

@@ -39,7 +39,6 @@ from .density import (
     brownian_density,
     brownian_density_direct,
     conditioned_jacobian_density,
-    diagonal_level_density,
     equal_variance_density,
     general_mean_density,
     moments_path_density,
@@ -436,7 +435,6 @@ def cmd_reduce_check(config: RunConfig, out_path: str | None) -> int:
         "general_mean_reduces_to_zero_mean": (0.0, 1e-12),
         "zero_mean_reduces_to_equal_variance": (0.0, 1e-12),
         "zero_level_matches_zero_mean_at_origin_level": (0.0, 1e-12),
-        "diagonal_level_matches_zero_mean": (0.0, 1e-12),
         "brownian_direct_matches_composition": (0.0, 1e-12),
         "zero_mean_matches_moments_path": (0.0, 1e-9),
         "general_mean_matches_conditioning": (0.0, 1e-9),
@@ -465,10 +463,6 @@ def cmd_reduce_check(config: RunConfig, out_path: str | None) -> int:
         bump("zero_level_matches_zero_mean_at_origin_level",
              rel(float(zero_mean_density(zero_prof, basis, ComplexLevel(0, 0), z).h),
                  float(zero_level_density(zero_prof, basis, z))))
-        radius = float(rng.uniform(0.1, 2.0))
-        bump("diagonal_level_matches_zero_mean",
-             rel(float(zero_mean_density(zero_prof, basis, ComplexLevel(radius, radius), z).h),
-                 float(diagonal_level_density(zero_prof, basis, radius, z))))
         sigma2 = float(rng.uniform(0.25, 4.0))
         eq_prof = CoefficientProfile.iid(n, var_a=sigma2, var_b=sigma2)
         bump("zero_mean_reduces_to_equal_variance",

@@ -10,7 +10,6 @@ Evaluators
 ``zero_mean_density``      per-index variances, zero means (general closed form)
 ``equal_variance_density`` common variance sigma^2 for every a_j and b_j
 ``general_mean_density``   per-index variances and arbitrary means
-``diagonal_level_density`` level on the diagonal, K = r + i r (see docstring)
 ``zero_level_density``     K = 0 rational form (no exponential factor)
 ``brownian_density``       coefficients from successive Brownian observations
 
@@ -31,11 +30,12 @@ Theorems 2 and 4 share one set of quadratic forms (y1, y2, y3, d1, d2, d3
 and the mean sums), which ``_covariance_parts`` reduces over blocks of
 points by one of two routes.  For ``MonomialBasis`` the derivative
 f_j' = j z^(j-1) is a value one index lower, so the forms come from the
-three power products u_k^2, v_k^2, u_k v_k of z^k = u_k + i v_k; every
-other basis takes the general route over eight value/derivative products.
-The power route writes d1 and d2 through the sums P1, P2 (nonnegative
-terms) and C, not as the half-sums (S1 +- D1)/2 of a Hermitian and a
-bilinear sum, which cancel when var_a and var_b are far apart.
+powers z^k = u_k + i v_k alone: the interleaved squares (u_k^2, v_k^2)
+reduced against five weight rows, plus the cross products u_k v_k against
+two; every other basis takes the general route over eight value/derivative
+products.  The power route writes d1 and d2 through the sums P1, P2
+(nonnegative terms) and C, not as the half-sums (S1 +- D1)/2 of a Hermitian
+and a bilinear sum, which cancel when var_a and var_b are far apart.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .errors import (
 from .model import (
     BasisFamily,
     CoefficientProfile,
-    ComplexLevel,
     MonomialBasis,
     TimeGrid,
     as_level,
@@ -70,7 +69,6 @@ __all__ = [
     "zero_mean_density",
     "equal_variance_density",
     "general_mean_density",
-    "diagonal_level_density",
     "zero_level_density",
     "brownian_density",
     "brownian_density_direct",
@@ -83,7 +81,8 @@ _DEGENERACY_FLOOR = 1e-14
 
 # Point-terms (points times basis size) per block of basis evaluation and
 # reduction: about 1 MB of scratch arrays per block on the general route
-# (eight product rows), less on the power route (three).
+# (values, derivatives and eight product rows), about 450 kB on the power
+# route (values, derivatives, the interleaved squares and one cross row).
 _BLOCK_TERMS = 8192
 
 
@@ -258,46 +257,56 @@ def _power_forms(profile, basis, points, means):
     """Return what ``_product_forms`` returns, for ``MonomialBasis`` only.
 
     With z^k = u_k + i v_k and f_j' = j z^(j-1), every derivative product is
-    a value product one index lower, so one matmul per block of the rows
-    u_k^2, v_k^2 and u_k v_k against seven weight rows gives y1, y3, y2, d3
-    and P1 = sum j (a_j u_k^2 + b_j v_k^2),  P2 = sum j (b_j u_k^2 + a_j v_k^2),
-    C = sum j (a_j - b_j) u_k v_k  (j = k + 1, a = var_a, b = var_b).
-    From u_j = x u_k - y v_k and v_j = y u_k + x v_k at z = x + iy,
+    a value product one index lower.  Per block, the interleaved squares
+    (u_k^2, v_k^2) of the values, one contiguous pass, are reduced in one
+    matmul against five weight rows a, b, j^2 (a + b), j a and j b, and the
+    cross products u_k v_k in a second against the two rows a - b and
+    j (a - b)  (j = k + 1, a = var_a, b = var_b).  Each square row comes out
+    as a pair of sums, over u^2 and over v^2 (A_u, A_v for row a, and so
+    on), and
+    y1 = A_u + B_v,  y3 = B_u + A_v,  d3 = D_u + D_v,
+    P1 = sum j (a_j u_k^2 + b_j v_k^2) = JA_u + JB_v,
+    P2 = sum j (b_j u_k^2 + a_j v_k^2) = JB_u + JA_v,
+    each the sum of two sums of nonnegative terms; the cross rows give y2
+    and C = sum j (a_j - b_j) u_k v_k.  From u_j = x u_k - y v_k and
+    v_j = y u_k + x v_k at z = x + iy,
     d1 = (x P1 - y C) + i (x C - y P2) and d2 = (x P2 + y C) - i (x C + y P1).
     """
     a, b = profile.var_a, profile.var_b
     n = a.size
     j = np.arange(1.0, n)
-    # Rows (y1, y3, y2, d3, P1, P2, C) over the column groups (u^2, v^2, uv);
-    # the derivative weights of term j sit at row k = j - 1.
-    weights = np.zeros((7, 3, n))
-    weights[0, 0], weights[0, 1] = a, b
-    weights[1, 0], weights[1, 1] = b, a
-    weights[2, 2] = a - b
-    weights[3, :2, :-1] = j * j * (a[1:] + b[1:])
-    weights[4, 0, :-1], weights[4, 1, :-1] = j * a[1:], j * b[1:]
-    weights[5, 0, :-1], weights[5, 1, :-1] = j * b[1:], j * a[1:]
-    weights[6, 2, :-1] = j * (a[1:] - b[1:])
-    weights = weights.reshape(7, 3 * n)
+    # The derivative weights of term j sit at row k = j - 1.
+    square_weights = np.zeros((5, n))
+    square_weights[0], square_weights[1] = a, b
+    square_weights[2, :-1] = j * j * (a[1:] + b[1:])
+    square_weights[3, :-1], square_weights[4, :-1] = j * a[1:], j * b[1:]
+    cross_weights = np.zeros((2, n))
+    cross_weights[0] = a - b
+    cross_weights[1, :-1] = j * (a[1:] - b[1:])
     mu = profile.mu_a + 1j * profile.mu_b
     mu_deriv = np.zeros(n, dtype=np.complex128)
     mu_deriv[:-1] = j * mu[1:]
-    sums = np.empty((7, points.size))
+    # Interleaved like the squares: (u^2 sum, v^2 sum) per point.
+    square_sums = np.empty((5, 2 * points.size))
+    cross_sums = np.empty((2, points.size))
     mean_sums = np.empty((2, points.size), dtype=np.complex128) if means else None
     # The derivatives are computed and dropped: the benchmark tracer hooks
     # ``values_and_derivatives`` as the basis layer.
     for block, vals, _ in _basis_blocks(basis, points):
-        prods = np.empty((3,) + vals.shape)
-        np.multiply(vals.real, vals.real, out=prods[0])
-        np.multiply(vals.imag, vals.imag, out=prods[1])
-        np.multiply(vals.real, vals.imag, out=prods[2])
-        np.matmul(weights, prods.reshape(3 * n, -1), out=sums[:, block])
+        pairs = slice(2 * block.start, 2 * block.stop)
+        np.matmul(square_weights, np.square(vals.view(np.float64)), out=square_sums[:, pairs])
+        np.matmul(cross_weights, vals.real * vals.imag, out=cross_sums[:, block])
         if means:
-            # Two vector products, not one (2, n) complex matmul: OpenBLAS's
-            # zgemm kernel leaves the vector registers in a state that makes
-            # the next block's complex cumprod about 15x slower.
+            # Two vector products, not one (2, n) complex matmul: the matmul
+            # was no faster (general_mean_density on 7200 points, one BLAS
+            # thread: equal within 1% at N = 2 and 10, 3% slower at N = 40).
             mean_sums[:, block] = mu @ vals, mu_deriv @ vals
-    y1, y3, y2, d3, p1, p2, c = sums
+    (a_u, a_v), (b_u, b_v), (d_u, d_v), (ja_u, ja_v), (jb_u, jb_v) = (
+        square_sums.reshape(5, -1, 2).transpose(0, 2, 1)
+    )
+    y1, y3, d3 = a_u + b_v, b_u + a_v, d_u + d_v
+    p1, p2 = ja_u + jb_v, jb_u + ja_v
+    y2, c = cross_sums
     x, y = points.real, points.imag
     cross = np.empty((2, points.size), dtype=np.complex128)
     cross[0].real, cross[0].imag = x * p1 - y * c, x * c - y * p2
@@ -311,8 +320,8 @@ def _covariance_parts(profile, basis, z, means: bool = False):
     With ``means`` also ex1, ex2 and m of the mean field.  Two routes give
     the same forms over blocks of points from ``_basis_blocks``:
 
-    - ``_power_forms`` for ``MonomialBasis``: three product rows of the
-      powers z^k, one matmul per block (f_j' = j z^(j-1));
+    - ``_power_forms`` for ``MonomialBasis``: the squares and cross
+      products of the powers z^k, two matmuls per block (f_j' = j z^(j-1));
     - ``_product_forms`` for every other basis: eight value/derivative
       product rows reduced by ``_weighted_sums``.
 
@@ -461,20 +470,6 @@ def general_mean_density(profile: CoefficientProfile, basis: BasisFamily, level,
     return DensityPartsGeneral(
         y1=y1, y2=y2, y3=y3, d0=d0, d1=d1, d2=d2, d3=d3, h=h, m=m, ex1=ex1, ex2=ex2,
     )
-
-
-def diagonal_level_density(profile: CoefficientProfile, basis: BasisFamily, radius: float, z):
-    """Zero-mean density at the diagonal level K = radius * (1 + i).
-
-    Densities "at a circle radius" are not expressible through the radius
-    alone: the level enters the exponent through K1 and K2 separately, so a
-    radius only pins the level up to a direction.  The convention here puts
-    the level on the diagonal, K1 = K2 = radius; the result is exactly
-    ``zero_mean_density`` at that level, which is authoritative.
-    """
-    if radius <= 0.0:
-        raise ConfigurationError(f"radius must be positive, got {radius}")
-    return zero_mean_density(profile, basis, ComplexLevel(radius, radius), z).h
 
 
 def zero_level_density(profile: CoefficientProfile, basis: BasisFamily, z):

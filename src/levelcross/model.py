@@ -279,12 +279,20 @@ class MonomialBasis(BasisFamily):
 
     def values_and_derivatives(self, z):
         z = np.asarray(z, dtype=np.complex128)
-        # z^j as a running product down the index axis, with 0^0 = 1: exact
-        # on the real axis, and no complex power per entry.
-        factors = np.empty((self.count,) + z.shape, dtype=np.complex128)
-        factors[0] = 1.0
-        factors[1:] = z
-        vals = np.cumprod(factors, axis=0)
+        # z^j by doubling, with 0^0 = 1: once rows 0..m-1 hold z^0..z^(m-1),
+        # rows m..2m-1 are those rows times z^m, one broadcast product over
+        # whole contiguous rows.  Every entry is a chain of complex products
+        # of z, so it is exactly real on the real axis, the table at -z is
+        # (-1)^j times the table at z and the table at conj(z) its conjugate.
+        # The rounding error grows like j*eps rather than sqrt(j)*eps.
+        vals = np.empty((self.count,) + z.shape, dtype=np.complex128)
+        vals[0] = 1.0
+        vals[1] = z
+        m = 2
+        while m < self.count:
+            k = min(m, self.count - m)
+            np.multiply(vals[:k], vals[m - 1] * z, out=vals[m : m + k])
+            m *= 2
         # Derivative j*z^(j-1), with the j=0 row exactly zero.
         derivs = np.empty_like(vals)
         derivs[0] = 0.0

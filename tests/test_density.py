@@ -19,7 +19,6 @@ from levelcross import (
     brownian_density,
     brownian_density_direct,
     conditioned_jacobian_density,
-    diagonal_level_density,
     equal_variance_density,
     general_mean_density,
     moments_path_density,
@@ -81,18 +80,6 @@ class TestReductions:
             z = disk_point(rng, 2.0)
             a = float(zero_mean_density(profile, basis, ComplexLevel(0, 0), z).h)
             b = float(zero_level_density(profile, basis, z))
-            assert rel_dev(a, b) < 1e-12
-
-    def test_diagonal_level_matches_zero_mean(self, rng):
-        # Resolved convention: the circle-radius statement substitutes K1 = K2 = r.
-        for _ in range(30):
-            n = int(rng.integers(2, 9))
-            profile = random_zero_mean_profile(rng, n)
-            basis = MonomialBasis(n - 1)
-            z = disk_point(rng, 2.0)
-            r = float(rng.uniform(0.05, 2.0))
-            a = float(zero_mean_density(profile, basis, ComplexLevel(r, r), z).h)
-            b = float(diagonal_level_density(profile, basis, r, z))
             assert rel_dev(a, b) < 1e-12
 
     def test_general_mean_reduces_at_zero_means(self, rng):
@@ -246,6 +233,34 @@ class TestSymmetries:
             b = float(zero_mean_density(profile, basis, level, z.conjugate()).h)
             assert abs(a - b) < 1e-10 * abs(a)
 
+    @pytest.mark.parametrize("degree", [2, 10, 40])
+    def test_point_symmetry_is_exact(self, rng, degree):
+        # (-1)^j eta_j has the law of eta_j for zero means, so h(-z) = h(z);
+        # the power table at -z is (-1)^j times the table at z bit for bit,
+        # and the forms then agree exactly.
+        profile = random_zero_mean_profile(rng, degree + 1)
+        basis = MonomialBasis(degree)
+        z = 8.0 * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
+        for evaluate in (zero_mean_density, general_mean_density):
+            h = evaluate(profile, basis, 1 + 0.5j, z).h
+            assert np.all(np.isfinite(h))
+            assert np.array_equal(evaluate(profile, basis, 1 + 0.5j, -z).h, h)
+
+    @pytest.mark.parametrize("degree", [2, 10, 40])
+    def test_conjugation_complex_level(self, rng, degree):
+        # With mu_b = 0 and a basis real on the real axis, conjugating S
+        # leaves its law unchanged, so h_K(conj z) = h_conj(K)(z).
+        n = degree + 1
+        basis = MonomialBasis(degree)
+        z = 8.0 * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
+        zero_mean = random_zero_mean_profile(rng, n)
+        with_mu_a = CoefficientProfile(rng.uniform(-1, 1, n), zero_mean.var_a,
+                                       np.zeros(n), zero_mean.var_b)
+        for profile, evaluate in ((zero_mean, zero_mean_density), (with_mu_a, general_mean_density)):
+            a = evaluate(profile, basis, 1 + 0.5j, np.conj(z)).h
+            b = evaluate(profile, basis, 1 - 0.5j, z).h
+            assert np.max(np.abs(a - b) / np.abs(b)) < 2e-10
+
     def test_rotational_symmetry_equal_variance_zero_level(self, rng):
         for _ in range(40):
             basis = MonomialBasis(int(rng.integers(2, 8)))
@@ -292,10 +307,6 @@ class TestContractsAndErrors:
             zero_mean_density(profile, QUAD_BASIS, ComplexLevel(0, 0), 0.3j)
         with pytest.raises(ContractViolationError):
             zero_level_density(profile, QUAD_BASIS, 0.3j)
-
-    def test_diagonal_level_requires_positive_radius(self):
-        with pytest.raises(ConfigurationError):
-            diagonal_level_density(UNIT_PROFILE, QUAD_BASIS, 0.0, 0.3j)
 
     def test_size_mismatch(self):
         with pytest.raises(ConfigurationError):

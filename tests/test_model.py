@@ -125,8 +125,9 @@ class TestBases:
             np.testing.assert_allclose(derivs[j], expected)
 
     def test_monomial_high_degree_products(self, rng):
-        # Degree 40 built by running products: close to z**j off the axis,
-        # exactly real on it, and derivative row 0 exactly zero.
+        # Degree 40 built by doubling (rows m..2m-1 are rows 0..m-1 times
+        # z^m): close to z**j off the axis, exactly real on it, and
+        # derivative row 0 exactly zero.
         basis = MonomialBasis(40)
         j = np.arange(41)[:, None]
         z = 2.0 * np.sqrt(rng.uniform(size=50)) * np.exp(2j * np.pi * rng.uniform(size=50))
@@ -139,6 +140,38 @@ class TestBases:
         x = rng.uniform(-2.0, 2.0, 50).astype(np.complex128)
         vals, derivs = basis.values_and_derivatives(x)
         assert np.all(vals.imag == 0) and np.all(derivs.imag == 0)
+
+    @pytest.mark.parametrize("degree", [40, 500])
+    def test_monomial_powers_match_mpmath(self, rng, degree):
+        """The doubling table against 40-digit powers near the unit circle.
+
+        Entry j is a chain of up to j complex products of z, so its rounding
+        error grows like j*eps rather than the sqrt(j)*eps a running product
+        shows on average; 1e-13 leaves room for that up to degree 500.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        z = np.exp(rng.uniform(np.log(0.9), np.log(1.1), 40) + 2j * np.pi * rng.uniform(size=40))
+        vals, _ = MonomialBasis(degree).values_and_derivatives(z)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for i, point in enumerate(z):
+                w, power = mpmath.mpc(point), mpmath.mpc(1)
+                for j in range(degree + 1):
+                    err = abs(mpmath.mpc(vals[j, i]) - power) / abs(power)
+                    worst = max(worst, float(err))
+                    power *= w
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("degree", [3, 40, 500])
+    def test_monomial_power_symmetries_are_exact(self, rng, degree):
+        basis = MonomialBasis(degree)
+        sign = (-1.0) ** np.arange(degree + 1)[:, None]
+        z = np.exp(rng.uniform(np.log(0.5), np.log(2.0), 200) + 2j * np.pi * rng.uniform(size=200))
+        vals, _ = basis.values_and_derivatives(z)
+        assert np.array_equal(basis.values_and_derivatives(-z)[0], sign * vals)
+        assert np.array_equal(basis.values_and_derivatives(np.conj(z))[0], np.conj(vals))
+        x = rng.uniform(-2.0, 2.0, 200).astype(np.complex128)
+        assert np.all(basis.values_and_derivatives(x)[0].imag == 0)
 
     def test_monomial_derivative_at_origin(self):
         vals, derivs = MonomialBasis(2).values_and_derivatives(0.0 + 0.0j)
