@@ -546,21 +546,25 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+_COMMANDS = (
+    ("density", "evaluate the density on a grid (CSV)"),
+    ("expect", "integrate the density over the region (JSON)"),
+    ("mc", "Monte Carlo zero-count estimate (JSON)"),
+    ("compare", "quadrature vs Monte Carlo agreement (JSON)"),
+    ("reduce-check", "reduction-chain and oracle-agreement report (JSON)"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levelcross",
         description="Expected density of complex level crossings of random sums.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("density", "evaluate the density on a grid (CSV)"),
-        ("expect", "integrate the density over the region (JSON)"),
-        ("mc", "Monte Carlo zero-count estimate (JSON)"),
-        ("compare", "quadrature vs Monte Carlo agreement (JSON)"),
-        ("reduce-check", "reduction-chain and oracle-agreement report (JSON)"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        _add_common_options(sp)
+    # One parser with the command as a positional choice: every command takes
+    # the same options, and every ``main`` call builds the parser anew.
+    parser.add_argument("command", choices=[name for name, _ in _COMMANDS],
+                        help="; ".join(f"{name}: {text}" for name, text in _COMMANDS))
+    _add_common_options(parser)
     return parser
 
 

@@ -80,10 +80,14 @@ __all__ = [
 _DEGENERACY_FLOOR = 1e-14
 
 # Point-terms (points times basis size) per block of basis evaluation and
-# reduction: about 1 MB of scratch arrays per block on the general route
-# (values, derivatives and eight product rows), about 450 kB on the power
-# route (values, derivatives, the interleaved squares and one cross row).
+# reduction.  The general route keeps about 104 B per point-term (values,
+# derivatives, eight product rows and one temporary), about 850 kB per
+# block.  The power route keeps about 40 B (values, the interleaved squares
+# and one cross row), about 650 kB per block of its own, larger size: at
+# 16384 it measured faster than at 8192 or 32768, while 16384 on the general
+# route was slower than 8192.
 _BLOCK_TERMS = 8192
+_POWER_BLOCK_TERMS = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +203,19 @@ def _col(arr: np.ndarray, ndim: int) -> np.ndarray:
     return arr.reshape(arr.shape + (1,) * ndim)
 
 
-def _basis_blocks(basis: BasisFamily, points: np.ndarray):
+def _basis_blocks(basis: BasisFamily, points: np.ndarray, terms: int = _BLOCK_TERMS, **request):
     """Yield (block, values, derivatives) over consecutive blocks of ``points``.
 
-    ``points`` is 1-D.  A block holds at most ``_BLOCK_TERMS`` point-terms
-    (points times ``basis.count``), so the scratch arrays of one evaluation
-    stay the same size whatever the number of points or the degree.
+    ``points`` is 1-D.  A block holds at most ``terms`` point-terms (points
+    times ``basis.count``), so the scratch arrays of one evaluation stay the
+    same size whatever the number of points or the degree.  ``request`` is
+    passed on to ``values_and_derivatives`` (``derivatives=False`` on the
+    power route, which then gets None for the derivatives).
     """
-    step = max(1, _BLOCK_TERMS // basis.count)
+    step = max(1, terms // basis.count)
     for start in range(0, points.size, step):
         block = slice(start, start + step)
-        yield (block, *basis.values_and_derivatives(points[block]))
+        yield (block, *basis.values_and_derivatives(points[block], **request))
 
 
 def _weighted_sums(weights, vals, derivs):
@@ -257,13 +263,14 @@ def _power_forms(profile, basis, points, means):
     """Return what ``_product_forms`` returns, for ``MonomialBasis`` only.
 
     With z^k = u_k + i v_k and f_j' = j z^(j-1), every derivative product is
-    a value product one index lower.  Per block, the interleaved squares
-    (u_k^2, v_k^2) of the values, one contiguous pass, are reduced in one
-    matmul against five weight rows a, b, j^2 (a + b), j a and j b, and the
-    cross products u_k v_k in a second against the two rows a - b and
-    j (a - b)  (j = k + 1, a = var_a, b = var_b).  Each square row comes out
-    as a pair of sums, over u^2 and over v^2 (A_u, A_v for row a, and so
-    on), and
+    a value product one index lower, so the basis is asked for the values
+    alone, in blocks of ``_POWER_BLOCK_TERMS`` point-terms.  Per block, the
+    interleaved squares (u_k^2, v_k^2) of the values, one contiguous pass,
+    are reduced in one matmul against five weight rows a, b, j^2 (a + b),
+    j a and j b, and the cross products u_k v_k in a second against the two
+    rows a - b and j (a - b)  (j = k + 1, a = var_a, b = var_b).  Each square
+    row comes out as a pair of sums, over u^2 and over v^2 (A_u, A_v for
+    row a, and so on), and
     y1 = A_u + B_v,  y3 = B_u + A_v,  d3 = D_u + D_v,
     P1 = sum j (a_j u_k^2 + b_j v_k^2) = JA_u + JB_v,
     P2 = sum j (b_j u_k^2 + a_j v_k^2) = JB_u + JA_v,
@@ -290,9 +297,7 @@ def _power_forms(profile, basis, points, means):
     square_sums = np.empty((5, 2 * points.size))
     cross_sums = np.empty((2, points.size))
     mean_sums = np.empty((2, points.size), dtype=np.complex128) if means else None
-    # The derivatives are computed and dropped: the benchmark tracer hooks
-    # ``values_and_derivatives`` as the basis layer.
-    for block, vals, _ in _basis_blocks(basis, points):
+    for block, vals, _ in _basis_blocks(basis, points, _POWER_BLOCK_TERMS, derivatives=False):
         pairs = slice(2 * block.start, 2 * block.stop)
         np.matmul(square_weights, np.square(vals.view(np.float64)), out=square_sums[:, pairs])
         np.matmul(cross_weights, vals.real * vals.imag, out=cross_sums[:, block])
@@ -321,7 +326,8 @@ def _covariance_parts(profile, basis, z, means: bool = False):
     the same forms over blocks of points from ``_basis_blocks``:
 
     - ``_power_forms`` for ``MonomialBasis``: the squares and cross
-      products of the powers z^k, two matmuls per block (f_j' = j z^(j-1));
+      products of the powers z^k, two matmuls per block (f_j' = j z^(j-1)),
+      with no derivative rows and larger blocks;
     - ``_product_forms`` for every other basis: eight value/derivative
       product rows reduced by ``_weighted_sums``.
 

@@ -2,7 +2,9 @@
 
 All types are immutable after construction and safe to share across
 concurrent evaluators.  Basis evaluation returns value and derivative
-together, since every density formula needs both at every point.
+together, since every density formula needs both at every point;
+``MonomialBasis`` can skip the derivatives, which are its values one index
+lower.
 """
 
 from __future__ import annotations
@@ -277,7 +279,15 @@ class MonomialBasis(BasisFamily):
     def count(self) -> int:
         return self._degree + 1
 
-    def values_and_derivatives(self, z):
+    def values_and_derivatives(self, z, derivatives: bool = True):
+        """Return (values, derivatives), or (values, None) without ``derivatives``.
+
+        The derivative row j*z^(j-1) is a value one index lower, so the power
+        route of the density needs only the values and asks for them with
+        ``derivatives=False``.  It is a keyword of this method rather than a
+        method of its own because the benchmark tracer (``bench/tracing.py``)
+        times this method as the basis layer.
+        """
         z = np.asarray(z, dtype=np.complex128)
         # z^j by doubling, with 0^0 = 1: once rows 0..m-1 hold z^0..z^(m-1),
         # rows m..2m-1 are those rows times z^m, one broadcast product over
@@ -293,6 +303,8 @@ class MonomialBasis(BasisFamily):
             k = min(m, self.count - m)
             np.multiply(vals[:k], vals[m - 1] * z, out=vals[m : m + k])
             m *= 2
+        if not derivatives:
+            return vals, None
         # Derivative j*z^(j-1), with the j=0 row exactly zero.
         derivs = np.empty_like(vals)
         derivs[0] = 0.0

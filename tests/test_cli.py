@@ -270,3 +270,10 @@ class TestFlagsAndConfigFiles:
         )
         assert code == 2
         assert "common variance" in err
+
+    def test_unknown_or_missing_command_is_a_usage_error(self, capsys):
+        for argv in (["integrate", "--degree", "3"], ["--degree", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 2
+        assert "command" in capsys.readouterr().err

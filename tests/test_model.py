@@ -173,6 +173,16 @@ class TestBases:
         x = rng.uniform(-2.0, 2.0, 200).astype(np.complex128)
         assert np.all(basis.values_and_derivatives(x)[0].imag == 0)
 
+    @pytest.mark.parametrize("degree", [1, 3, 40, 500])
+    def test_monomial_values_only_call_is_exact(self, rng, degree):
+        basis = MonomialBasis(degree)
+        grid = np.exp(rng.uniform(np.log(0.5), np.log(2.0), (7, 9)) + 2j * np.pi * rng.uniform(size=(7, 9)))
+        for z in (grid, grid[3, 4], complex(grid[0, 0])):
+            vals, derivs = basis.values_and_derivatives(z, derivatives=False)
+            assert derivs is None
+            assert np.array_equal(vals, basis.values_and_derivatives(z)[0])
+            assert vals.shape == (degree + 1,) + np.shape(z)
+
     def test_monomial_derivative_at_origin(self):
         vals, derivs = MonomialBasis(2).values_and_derivatives(0.0 + 0.0j)
         np.testing.assert_array_equal(vals, [1.0, 0.0, 0.0])
