@@ -17,7 +17,10 @@ with LF line endings, with null for any non-finite number; CSV grids carry
 
 ``--theorem`` selects the closed form: 2 = zero means with per-index
 variances, 3 = one common variance, 4 = arbitrary means, 5 = Brownian
-prefix basis; ``auto`` picks by profile shape.
+prefix basis; ``auto`` picks by profile shape.  ``expect`` and ``compare``
+integrate h over the part of the region that the exact symmetries of the
+configured law (z -> -z, z -> conj z) map onto the rest, and scale the
+result back (``_fundamental_region``).
 
 Exit codes: 0 success; 2 configuration error, contract violation or (for
 ``compare``) no agreement; 3 degenerate evaluation; 4 degenerate grid cells
@@ -371,14 +374,75 @@ def _mc_record(estimate: MCEstimate) -> dict:
     }
 
 
+def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Rectangle, int]:
+    """The part of ``region`` that the exact symmetries of h map onto all of it.
+
+    Returns (fundamental region, weight): the integral of h over ``region``
+    is ``weight`` times its integral over the fundamental region.
+
+    - Point fold, h(-z) = h(z): a monomial or weighted-monomial basis has
+      f_j(-z) = (-1)^j f_j(z), so the law of S - K is invariant under
+      z -> -z when every odd-index mean is zero.  The region must be
+      symmetric about 0.  The kept half is the one the quadrature's first
+      split makes, x >= 0 when the width is at least the height and y >= 0
+      otherwise, so its refinement tree mirrors the other half's.
+    - Conjugate fold, h(conj z) = h(z): every CLI basis is real on the real
+      axis, so conj S(conj z) = sum (a_j - i b_j) f_j(z), which has the law
+      of S when every mu_b is zero; at a real K it equals K exactly where
+      S(conj z) does.  The region must be symmetric about the real axis; the
+      kept half is y >= 0.
+    - Both folds keep the quadrant x >= 0, y >= 0, with weight 4.
+    """
+    x0, x1, y0, y1 = region.x_min, region.x_max, region.y_min, region.y_max
+    point = (
+        isinstance(basis, (MonomialBasis, WeightedMonomialBasis))
+        and not np.any(profile.mu_a[1::2])
+        and not np.any(profile.mu_b[1::2])
+        and x0 == -x1
+        and y0 == -y1
+    )
+    conjugate = not np.any(profile.mu_b) and level.k2 == 0.0 and y0 == -y1
+    if point and conjugate:
+        return Rectangle(0.0, x1, 0.0, y1), 4
+    if point and x1 - x0 >= y1 - y0:
+        return Rectangle(0.0, x1, y0, y1), 2
+    if point or conjugate:
+        return Rectangle(x0, x1, 0.0, y1), 2
+    return region, 1
+
+
+def _integrate_region(config: RunConfig) -> QuadratureResult:
+    """Integrate h over the region, as ``expect`` and ``compare`` report it.
+
+    h is integrated over the fundamental region of its exact symmetries
+    (``_fundamental_region``) with ``abs_tol / weight``, the same
+    ``rel_tol`` and ``max_cells // weight``, so every refinement test of the
+    driver reads as it would over the whole region; the value, error
+    estimate and cell count are scaled back by the weight, while
+    ``evaluations`` and ``passes`` are those actually run.  A cell budget
+    below the weight integrates the whole region.
+    """
+    field, _ = config.density_field()
+    profile, basis, level, region = config.build()
+    part, weight = _fundamental_region(profile, basis, level, region)
+    if config.max_cells < weight:
+        part, weight = region, 1
+    result = integrate_density(
+        field, part,
+        abs_tol=config.abs_tol / weight, rel_tol=config.rel_tol,
+        max_cells=config.max_cells // weight,
+    )
+    return replace(
+        result,
+        value=weight * result.value,
+        error_estimate=weight * result.error_estimate,
+        cells_used=weight * result.cells_used,
+    )
+
+
 def cmd_expect(config: RunConfig, out_path: str | None) -> int:
     """Integrate h over the region; exit 6 when the quadrature did not converge."""
-    field, _ = config.density_field()
-    _, _, _, region = config.build()
-    result = integrate_density(
-        field, region,
-        abs_tol=config.abs_tol, rel_tol=config.rel_tol, max_cells=config.max_cells,
-    )
+    result = _integrate_region(config)
     _json_dump(_quadrature_record(result), out_path)
     return 0 if result.converged else 6
 
@@ -399,12 +463,8 @@ def cmd_compare(config: RunConfig, out_path: str | None) -> int:
     difference within 3 Monte Carlo standard errors plus the quadrature
     error estimate.
     """
-    field, _ = config.density_field()
+    quad = _integrate_region(config)
     profile, basis, level, region = config.build()
-    quad = integrate_density(
-        field, region,
-        abs_tol=config.abs_tol, rel_tol=config.rel_tol, max_cells=config.max_cells,
-    )
     mc = estimate_expected_count(
         profile, basis, level, region, trials=config.trials, seed=config.seed
     )

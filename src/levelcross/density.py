@@ -559,7 +559,7 @@ def brownian_density_direct(inner: BasisFamily, grid: TimeGrid, level, z) -> Den
 def _conditional_coefficient_means(profile, basis, level, z):
     """E(a_j | S = K) and E(b_j | S = K) for a zero-mean profile (scalar z)."""
     level = as_level(level)
-    vals, _ = basis.values_and_derivatives(complex(z))
+    vals, _ = basis.values_and_derivatives(complex(z), derivatives=False)
     u, v = vals.real, vals.imag
     va, vb = profile.var_a, profile.var_b
     y1 = float(np.sum(va * u * u + vb * v * v))

@@ -2,9 +2,10 @@
 
 All types are immutable after construction and safe to share across
 concurrent evaluators.  Basis evaluation returns value and derivative
-together, since every density formula needs both at every point;
-``MonomialBasis`` can skip the derivatives, which are its values one index
-lower.
+together, since most density formulas need both at every point; callers
+that need only the values (the power route of the density, the winding
+counter, the conditional means of ``moments_path_density``, the difference
+quotients of ``validate_basis``) ask the basis to skip the derivatives.
 """
 
 from __future__ import annotations
@@ -242,7 +243,10 @@ class BasisFamily(ABC):
 
     ``values_and_derivatives`` is the hot-path call: it returns the stacked
     values f_j(z) and derivatives f_j'(z) for all j at once, with shape
-    ``(count,) + shape(z)``.
+    ``(count,) + shape(z)``.  With ``derivatives=False`` it returns
+    ``(values, None)`` and forms no derivative row.  It is a keyword of this
+    one method rather than a method of its own because the benchmark tracer
+    (``bench/tracing.py``) times this method as the basis layer.
     """
 
     @property
@@ -251,8 +255,11 @@ class BasisFamily(ABC):
         """Number of members N + 1."""
 
     @abstractmethod
-    def values_and_derivatives(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Return (values, derivatives) stacked over the family index."""
+    def values_and_derivatives(self, z, derivatives: bool = True):
+        """Return (values, derivatives) stacked over the family index.
+
+        Without ``derivatives`` return (values, None).
+        """
 
     def polynomial_coefficients(self, eta: np.ndarray) -> np.ndarray | None:
         """Monomial coefficients of sum_j eta_j f_j, or None if not a polynomial family.
@@ -283,10 +290,7 @@ class MonomialBasis(BasisFamily):
         """Return (values, derivatives), or (values, None) without ``derivatives``.
 
         The derivative row j*z^(j-1) is a value one index lower, so the power
-        route of the density needs only the values and asks for them with
-        ``derivatives=False``.  It is a keyword of this method rather than a
-        method of its own because the benchmark tracer (``bench/tracing.py``)
-        times this method as the basis layer.
+        route of the density needs only the values.
         """
         z = np.asarray(z, dtype=np.complex128)
         # z^j by doubling, with 0^0 = 1: once rows 0..m-1 hold z^0..z^(m-1),
@@ -340,11 +344,11 @@ class WeightedMonomialBasis(BasisFamily):
     def count(self) -> int:
         return self._weights.size
 
-    def values_and_derivatives(self, z):
-        vals, derivs = self._inner.values_and_derivatives(z)
+    def values_and_derivatives(self, z, derivatives: bool = True):
+        vals, derivs = self._inner.values_and_derivatives(z, derivatives=derivatives)
         shape = (self.count,) + (1,) * (vals.ndim - 1)
         w = self._weights.reshape(shape)
-        return w * vals, w * derivs
+        return w * vals, None if derivs is None else w * derivs
 
     def polynomial_coefficients(self, eta):
         coeffs = np.asarray(eta, dtype=np.complex128) * self._weights
@@ -366,14 +370,14 @@ class PrefixSumBasis(BasisFamily):
     def count(self) -> int:
         return self._inner.count
 
-    def values_and_derivatives(self, z):
-        vals, derivs = self._inner.values_and_derivatives(z)
+    def values_and_derivatives(self, z, derivatives: bool = True):
+        vals, derivs = self._inner.values_and_derivatives(z, derivatives=derivatives)
         # Suffix sums over the family index: F_k = f_k + f_{k+1} + ... + f_N.
         rev = slice(None, None, -1)
-        return (
-            np.cumsum(vals[rev], axis=0)[rev],
-            np.cumsum(derivs[rev], axis=0)[rev],
-        )
+        vals = np.cumsum(vals[rev], axis=0)[rev]
+        if derivs is None:
+            return vals, None
+        return vals, np.cumsum(derivs[rev], axis=0)[rev]
 
     def polynomial_coefficients(self, eta):
         # sum_k eta_k F_k = sum_j (eta_0 + ... + eta_j) f_j
@@ -400,9 +404,11 @@ class TabulatedBasis(BasisFamily):
     def count(self) -> int:
         return len(self._pairs)
 
-    def values_and_derivatives(self, z):
+    def values_and_derivatives(self, z, derivatives: bool = True):
         z = np.asarray(z, dtype=np.complex128)
         vals = np.stack([np.asarray(f(z), dtype=np.complex128) for f, _ in self._pairs])
+        if not derivatives:
+            return vals, None
         derivs = np.stack([np.asarray(fp(z), dtype=np.complex128) for _, fp in self._pairs])
         return vals, derivs
 
@@ -446,8 +452,8 @@ def validate_basis(basis: BasisFamily) -> None:
          + 1j * rng.uniform(-_VALIDATE_BOX, _VALIDATE_BOX, _VALIDATE_SAMPLES))
     _, derivs = basis.values_and_derivatives(z)
     for eps in (_VALIDATE_STEP, 1j * _VALIDATE_STEP):
-        plus, _ = basis.values_and_derivatives(z + eps)
-        minus, _ = basis.values_and_derivatives(z - eps)
+        plus, _ = basis.values_and_derivatives(z + eps, derivatives=False)
+        minus, _ = basis.values_and_derivatives(z - eps, derivatives=False)
         fd = (plus - minus) / (2.0 * eps)
         err = np.abs(fd - derivs)
         scale = 1.0 + np.abs(derivs)

@@ -127,7 +127,7 @@ def count_zeros_winding(eta: np.ndarray, basis: BasisFamily, level, region: Rect
     s = np.linspace(0.0, 4.0, _INITIAL_POINTS, endpoint=False)
     while True:
         z = _boundary_points(region, s)
-        vals, _ = basis.values_and_derivatives(z)
+        vals, _ = basis.values_and_derivatives(z, derivatives=False)
         w = np.einsum("j,j...->...", eta, vals) - level.value
         w_abs = np.abs(w)
         if w_abs.min() < _BOUNDARY_FLOOR * w_abs.max():

@@ -14,7 +14,7 @@ from levelcross.cli import (
     parse_flat_config,
 )
 from levelcross.errors import ConfigurationError
-from levelcross.quadrature import QuadratureResult
+from levelcross.quadrature import QuadratureResult, integrate_density
 
 
 def run_cli(args, capsys):
@@ -230,6 +230,101 @@ class TestScalarCommands:
         )
         assert code == 0
         assert json.loads(out)["value"] > 0
+
+
+def _floats(values):
+    return ",".join(repr(float(v)) for v in values)
+
+
+def folded_and_full(argv, monkeypatch):
+    """(``expect``'s result, points it evaluated, unfolded result over the region)."""
+    config = cli.resolve_config(cli.build_parser().parse_args(argv))
+    points = []
+    inner = cli.integrate_density
+
+    def counting(evaluator, *args, **kwargs):
+        def counted(z):
+            points.append(np.size(z))
+            return evaluator(z)
+        return inner(counted, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_density", counting)
+    folded = cli._integrate_region(config)
+    field, _ = config.density_field()
+    _, _, _, region = config.build()
+    full = integrate_density(field, region, abs_tol=config.abs_tol,
+                             rel_tol=config.rel_tol, max_cells=config.max_cells)
+    return folded, sum(points), full
+
+
+class TestSymmetryFold:
+    SQUARE20 = ["--x-min=-20", "--x-max=20", "--y-min=-20", "--y-max=20"]
+    SQUARE2 = ["--x-min=-2", "--x-max=2", "--y-min=-2", "--y-max=2"]
+    TOL = ["--abs-tol=1e-9", "--rel-tol=1e-9"]
+
+    @pytest.mark.parametrize("region, tol", [
+        (SQUARE20, ["--abs-tol=1e-8", "--rel-tol=1e-8"]),
+        (["--x-min=-20", "--x-max=20", "--y-min=-6", "--y-max=6"],
+         ["--abs-tol=1e-8", "--rel-tol=1e-13"]),
+        (["--x-min=-3", "--x-max=3", "--y-min=-8", "--y-max=8"],
+         ["--abs-tol=1e-8", "--rel-tol=1e-13"]),
+    ], ids=["square", "wide-absolute-tolerance", "tall-absolute-tolerance"])
+    def test_point_fold_reproduces_the_full_region(self, region, tol, monkeypatch, capsys):
+        # Quad-n40-style problem at N = 10: zero means, per-index variances.
+        rng = np.random.default_rng(13)
+        argv = ["expect", "--degree", "10", f"--var-a={_floats(rng.uniform(0.5, 2.0, 11))}",
+                f"--var-b={_floats(rng.uniform(0.5, 2.0, 11))}", "--k1=1.0", "--k2=0.5",
+                *region, *tol]
+        folded, points, full = folded_and_full(argv, monkeypatch)
+        assert full.converged and folded.converged
+        assert abs(folded.value - full.value) <= 1e-15 * abs(full.value)
+        assert folded.cells_used == full.cells_used
+        assert points == folded.evaluations <= full.evaluations / 2 + 225
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == folded.value
+
+    @pytest.mark.parametrize("extra", [
+        ["--degree", "4", "--mu-a", "0,0.5,0,0,0", *SQUARE2],
+        ["--basis", "brownian-prefix", "--time-grid", "0.5,1.5,3.0", *SQUARE2],
+        ["--degree", "4", "--var-a", "1,2,1,0.5,1", "--x-min=-2", "--x-max=1.5",
+         "--y-min=-2", "--y-max=2"],
+    ], ids=["odd-index-means", "brownian-prefix", "off-centre"])
+    def test_no_fold_evaluates_the_full_region(self, extra, monkeypatch):
+        folded, points, full = folded_and_full(
+            ["expect", "--k1=1.0", "--k2=0.5", *extra], monkeypatch)
+        assert folded == full
+        assert points == full.evaluations
+
+    @pytest.mark.parametrize("argv, weight", [
+        (["expect", "--degree", "5", "--mu-a", "0.3,-0.2,0.5,0.1,-0.4,0.2",
+          "--var-a", "1,2,0.5,1,1.5,1", "--k1", "0.7", "--x-min=-2", "--x-max=2",
+          "--y-min=-1.5", "--y-max=1.5", *TOL], 2),
+        (["expect", "--basis", "brownian-prefix", "--time-grid", "0.5,1.5,3.0,3.5",
+          "--k1", "0.4", *SQUARE2, *TOL], 2),
+        (["expect", "--abs-tol=1e-10", "--rel-tol=1e-10"], 4),
+    ], ids=["theorem-4-conjugate", "theorem-5-conjugate", "quarter"])
+    def test_conjugate_and_quarter_folds(self, argv, weight, monkeypatch):
+        folded, points, full = folded_and_full(argv, monkeypatch)
+        config = cli.resolve_config(cli.build_parser().parse_args(argv))
+        assert cli._fundamental_region(*config.build())[1] == weight
+        assert full.converged and folded.converged
+        tolerance = max(config.abs_tol, config.rel_tol * abs(full.value))
+        assert abs(folded.value - full.value) <= tolerance
+        assert folded.error_estimate <= tolerance
+        assert points == folded.evaluations < full.evaluations / weight + 225
+
+    def test_single_cell_budget_integrates_the_whole_region(self, monkeypatch):
+        folded, points, full = folded_and_full(["expect", "--max-cells", "1"], monkeypatch)
+        assert folded == full
+        assert (folded.cells_used, points, folded.converged) == (1, 225, False)
+
+    def test_cell_budget_is_shared_by_the_fold(self, monkeypatch):
+        folded, _, full = folded_and_full(
+            ["expect", "--max-cells", "8", "--abs-tol=1e-12", "--rel-tol=1e-12"], monkeypatch)
+        assert not (folded.converged or full.converged)
+        assert folded.cells_used == full.cells_used == 8
+        assert folded.value == pytest.approx(full.value, rel=1e-15)
 
 
 class TestFlagsAndConfigFiles:

@@ -183,6 +183,15 @@ class TestBases:
             assert np.array_equal(vals, basis.values_and_derivatives(z)[0])
             assert vals.shape == (degree + 1,) + np.shape(z)
 
+    def test_every_basis_skips_derivatives_on_request(self, rng):
+        tabulated = TabulatedBasis([(np.exp, np.exp), (np.cos, lambda v: -np.sin(v))])
+        for basis in (WeightedMonomialBasis([1.0, 0.5, -2.0]),
+                      PrefixSumBasis(MonomialBasis(3)), tabulated):
+            z = rng.uniform(-2, 2, (3, 4)) + 1j * rng.uniform(-2, 2, (3, 4))
+            vals, derivs = basis.values_and_derivatives(z, derivatives=False)
+            assert derivs is None
+            assert np.array_equal(vals, basis.values_and_derivatives(z)[0])
+
     def test_monomial_derivative_at_origin(self):
         vals, derivs = MonomialBasis(2).values_and_derivatives(0.0 + 0.0j)
         np.testing.assert_array_equal(vals, [1.0, 0.0, 0.0])

@@ -52,3 +52,23 @@ def test_tracer_installs_traces_and_uninstalls(capsys):
     # the CLI path reads its derived display fields.
     dop_spans = sum(1 for span in tracer.spans if span[0] == "numerics.dop")
     assert dop_spans == tracer.counts["density.calls"]
+
+
+def test_traced_expect_on_a_point_symmetric_problem(capsys):
+    # expect integrates half of the square here; the quadrature spans and the
+    # evaluation count still come through the wrapped ``cli.integrate_density``.
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = tracer.run_op(0, lambda: cli.main(
+            ["expect", "--degree", "6", "--var-a", "1,2,0.5,1,1.5,1,2", "--k1", "1",
+             "--k2", "0.5", "--x-min=-2", "--x-max=2", "--y-min=-2", "--y-max=2"]))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    quadrature_spans = [span for span in tracer.spans if span[0] == "quadrature"]
+    assert len(quadrature_spans) == 1
+    assert tracer.counts["quadrature.evals"] > 0
+    assert tracer.counts["quadrature.cells"] > 0
+    assert tracer.counts["density.points"] > 0

@@ -115,6 +115,31 @@ class TestCrossOracle:
         assert compared >= 890
         assert discarded < 0.01 * 900
 
+    @pytest.mark.parametrize("family", [MonomialBasis, TabulatedBasis])
+    def test_winding_asks_for_values_only(self, family, monkeypatch, rng):
+        # The boundary table needs f_j alone; derivative rows would be dropped.
+        values_and_derivatives = family.values_and_derivatives
+
+        def values_only(self, z, derivatives=True):
+            if derivatives:
+                raise RuntimeError("derivative rows formed")
+            return values_and_derivatives(self, z, derivatives=False)
+
+        monkeypatch.setattr(family, "values_and_derivatives", values_only)
+        if family is MonomialBasis:
+            basis = MonomialBasis(3)
+        else:
+            basis = TabulatedBasis([(lambda z, k=k: z**k, lambda z, k=k: k * z ** max(k - 1, 0))
+                                    for k in range(4)])
+        level, region = ComplexLevel(0.3, 0.2), Rectangle(0, 1.5, -0.7, 0.9)
+        for _ in range(20):
+            eta = rng.normal(size=4) + 1j * rng.normal(size=4)
+            try:
+                count = count_zeros_winding(eta, basis, level, region)
+            except BoundaryHitError:
+                continue
+            assert count == count_zeros_companion(eta, level, region)
+
 
 class TestEstimator:
     def test_requires_enough_trials(self):
