@@ -9,8 +9,13 @@ compare       quadrature vs Monte Carlo with agreement verdict, write JSON
 reduce-check  run the reduction-chain and oracle-agreement checks, write JSON
 
 Configuration is a flat ``key = value`` text file (numbers, booleans,
-``[a, b, c]`` lists, strings; ``#`` comments); every key is also exposed as a
-command-line flag, and flags win over the file.  Scalar profile entries
+``[a, b, c]`` lists, strings; ``#`` comments).  There is one key set, the
+fields of ``RunConfig``, and one validator, ``config_from_mapping``: each key
+is also the flag ``--key`` with ``_`` written ``-``, whose text is read as
+the same value on a file line (list keys split on commas); flags win over the
+file, and the merged mapping is validated once.  So ``--nx 3.0`` is accepted
+as ``nx = 3.0`` is; ``nx`` and ``ny`` must be at least 1, integer keys reject
+non-finite values, and NaN tolerances are rejected.  Scalar profile entries
 broadcast across coefficient indices.  JSON outputs are strict JSON in UTF-8
 with LF line endings, with null for any non-finite number; CSV grids carry
 17-significant-digit floats.
@@ -71,6 +76,7 @@ from .zerocount import MCEstimate, estimate_expected_count
 __all__ = ["RunConfig", "main", "parse_flat_config", "emit_flat_config"]
 
 _BASIS_KINDS = ("monomial", "weighted-monomial", "brownian-prefix")
+_THEOREMS = ("2", "3", "4", "5", "auto")
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +114,10 @@ class RunConfig:
     def __post_init__(self):
         if self.basis not in _BASIS_KINDS:
             raise ConfigurationError(f"basis must be one of {_BASIS_KINDS}, got {self.basis!r}")
-        if self.theorem not in ("2", "3", "4", "5", "auto"):
-            raise ConfigurationError(f"theorem must be 2, 3, 4, 5 or auto, got {self.theorem!r}")
+        if self.theorem not in _THEOREMS:
+            raise ConfigurationError(f"theorem must be one of {_THEOREMS}, got {self.theorem!r}")
+        if self.nx < 1 or self.ny < 1:
+            raise ConfigurationError(f"nx and ny must be at least 1, got {self.nx} and {self.ny}")
 
     # -- construction of model objects ------------------------------------
 
@@ -165,16 +173,16 @@ class RunConfig:
             return "3"
         return "2"
 
-    def density_field(self):
-        """Return (callable z -> h, selected theorem label)."""
-        profile, basis, level, _ = self.build()
+    def density_field(self, model=None):
+        """Return (callable z -> h, selected theorem label).
+
+        ``model`` is what ``build()`` returned; without it the model is built.
+        Theorem 5 is theorem 2 on the prefix basis and increment profile.
+        """
+        profile, basis, level, _ = model or self.build()
         which = self.select_theorem(profile)
-        if which == "5":
-            if self.basis != "brownian-prefix":
-                raise ConfigurationError("theorem 5 needs the brownian-prefix basis")
-            inner = MonomialBasis(len(self.time_grid) - 1)
-            grid = TimeGrid(self.time_grid)
-            return (lambda z: brownian_density(inner, grid, level, z).h), which
+        if which == "5" and self.basis != "brownian-prefix":
+            raise ConfigurationError("theorem 5 needs the brownian-prefix basis")
         if which == "4":
             return (lambda z: general_mean_density(profile, basis, level, z).h), which
         if which == "3":
@@ -260,15 +268,16 @@ def emit_flat_config(config: "RunConfig") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _as_float_tuple(value, key: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),)
-    if isinstance(value, list):
-        try:
-            return tuple(float(v) for v in value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigurationError(f"{key} must be a number or a list of numbers")
+def _as_number(value, key: str, integer: bool = False):
+    """``value`` as a float, or as an int when ``integer``; anything else is an error."""
+    if integer and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigurationError(f"{key} must be {'an integer' if integer else 'a number'}")
+    try:
+        return value if integer else float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{key} is out of range") from None
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
@@ -280,17 +289,12 @@ def config_from_mapping(mapping: dict) -> RunConfig:
     kwargs: dict = {}
     for key, value in mapping.items():
         if key in _LIST_FIELDS:
-            kwargs[key] = _as_float_tuple(value, key)
-        elif key in _INT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-                raise ConfigurationError(f"{key} must be an integer")
-            kwargs[key] = int(value)
+            items = value if isinstance(value, list) else [value]
+            kwargs[key] = tuple(_as_number(item, key) for item in items)
         elif key in _STR_FIELDS:
             kwargs[key] = str(value)
         else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(f"{key} must be a number")
-            kwargs[key] = float(value)
+            kwargs[key] = _as_number(value, key, integer=key in _INT_FIELDS)
     return RunConfig(**kwargs)
 
 
@@ -411,7 +415,7 @@ def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Recta
     return region, 1
 
 
-def _integrate_region(config: RunConfig) -> QuadratureResult:
+def _integrate_region(config: RunConfig, model) -> QuadratureResult:
     """Integrate h over the region, as ``expect`` and ``compare`` report it.
 
     h is integrated over the fundamental region of its exact symmetries
@@ -420,13 +424,13 @@ def _integrate_region(config: RunConfig) -> QuadratureResult:
     driver reads as it would over the whole region; the value, error
     estimate and cell count are scaled back by the weight, while
     ``evaluations`` and ``passes`` are those actually run.  A cell budget
-    below the weight integrates the whole region.
+    below the weight integrates the whole region.  ``model`` is what
+    ``config.build()`` returned.
     """
-    field, _ = config.density_field()
-    profile, basis, level, region = config.build()
-    part, weight = _fundamental_region(profile, basis, level, region)
+    field, _ = config.density_field(model)
+    part, weight = _fundamental_region(*model)
     if config.max_cells < weight:
-        part, weight = region, 1
+        part, weight = model[3], 1
     result = integrate_density(
         field, part,
         abs_tol=config.abs_tol / weight, rel_tol=config.rel_tol,
@@ -442,16 +446,13 @@ def _integrate_region(config: RunConfig) -> QuadratureResult:
 
 def cmd_expect(config: RunConfig, out_path: str | None) -> int:
     """Integrate h over the region; exit 6 when the quadrature did not converge."""
-    result = _integrate_region(config)
+    result = _integrate_region(config, config.build())
     _json_dump(_quadrature_record(result), out_path)
     return 0 if result.converged else 6
 
 
 def cmd_mc(config: RunConfig, out_path: str | None) -> int:
-    profile, basis, level, region = config.build()
-    estimate = estimate_expected_count(
-        profile, basis, level, region, trials=config.trials, seed=config.seed
-    )
+    estimate = estimate_expected_count(*config.build(), trials=config.trials, seed=config.seed)
     _json_dump(_mc_record(estimate), out_path)
     return 0
 
@@ -463,11 +464,9 @@ def cmd_compare(config: RunConfig, out_path: str | None) -> int:
     difference within 3 Monte Carlo standard errors plus the quadrature
     error estimate.
     """
-    quad = _integrate_region(config)
-    profile, basis, level, region = config.build()
-    mc = estimate_expected_count(
-        profile, basis, level, region, trials=config.trials, seed=config.seed
-    )
+    model = config.build()
+    quad = _integrate_region(config, model)
+    mc = estimate_expected_count(*model, trials=config.trials, seed=config.seed)
     diff = quad.value - mc.mean
     # Degenerate CI (all counts identical) has no finite z-score; report null.
     z_score = diff / mc.std_error if mc.std_error > 0 else None
@@ -557,53 +556,21 @@ def cmd_reduce_check(config: RunConfig, out_path: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--echo-config", metavar="PATH",
-                        help="write the resolved configuration to PATH")
-    parser.add_argument("--basis", choices=_BASIS_KINDS)
-    parser.add_argument("--degree", type=int)
-    parser.add_argument("--weights", help="comma-separated weights")
-    parser.add_argument("--time-grid", dest="time_grid", help="comma-separated times")
-    for name in ("mu-a", "var-a", "mu-b", "var-b"):
-        parser.add_argument(f"--{name}", dest=name.replace("-", "_"),
-                            help="single value (broadcast) or comma-separated per-index values")
-    for name in ("k1", "k2", "x-min", "x-max", "y-min", "y-max", "abs-tol", "rel-tol"):
-        parser.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float)
-    for name in ("nx", "ny", "trials", "seed", "max-cells"):
-        parser.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int)
-    parser.add_argument("--theorem", choices=("2", "3", "4", "5", "auto"),
-                        help="density formula: 2 zero-mean, 3 equal variance, "
-                             "4 general means, 5 brownian prefix (default: auto)")
-
-
-def _parse_list_flag(raw: str, key: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigurationError(f"could not parse {key} value {raw!r}") from exc
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file and flags (flags win) into a validated RunConfig."""
+    """Merge config file and flags (flags win) into one mapping and validate it."""
     mapping: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             mapping.update(parse_flat_config(fh.read()))
-    config = config_from_mapping(mapping)
-    overrides: dict = {}
     for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is None:
+        raw = getattr(args, f.name)
+        if raw is None:
             continue
-        if f.name in _LIST_FIELDS and isinstance(value, str):
-            overrides[f.name] = _parse_list_flag(value, f.name)
+        if f.name in _LIST_FIELDS:
+            mapping[f.name] = [_parse_scalar(tok) for tok in raw.split(",") if tok.strip()]
         else:
-            overrides[f.name] = value
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+            mapping[f.name] = _parse_scalar(raw)
+    return config_from_mapping(mapping)
 
 
 _COMMANDS = (
@@ -619,12 +586,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levelcross",
         description="Expected density of complex level crossings of random sums.",
+        epilog="theorem: 2 zero means, 3 one common variance, 4 arbitrary means, "
+               "5 Brownian prefix basis, auto by profile shape",
     )
     # One parser with the command as a positional choice: every command takes
     # the same options, and every ``main`` call builds the parser anew.
     parser.add_argument("command", choices=[name for name, _ in _COMMANDS],
                         help="; ".join(f"{name}: {text}" for name, text in _COMMANDS))
-    _add_common_options(parser)
+    parser.add_argument("--config", help="flat key = value configuration file")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--echo-config", metavar="PATH",
+                        help="write the resolved configuration to PATH")
+    # One text flag per RunConfig field; resolve_config validates it as a file key.
+    choices = {"basis": _BASIS_KINDS, "theorem": _THEOREMS}
+    for f in fields(RunConfig):
+        parser.add_argument(
+            f"--{f.name.replace('_', '-')}",
+            metavar="{" + ",".join(choices[f.name]) + "}" if f.name in choices else None,
+            help="comma-separated values; one profile value broadcasts"
+            if f.name in _LIST_FIELDS else None,
+        )
     return parser
 
 

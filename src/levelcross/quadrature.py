@@ -167,7 +167,7 @@ def integrate_density(
     The final reduction sums cell contributions in fixed spatial list order,
     so the result does not depend on evaluation scheduling.
     """
-    if abs_tol <= 0.0 or rel_tol <= 0.0:
+    if not (abs_tol > 0.0 and rel_tol > 0.0):  # NaN fails this test too
         raise ConfigurationError("tolerances must be positive")
     if max_cells < 1:
         raise ConfigurationError("max_cells must be at least 1")

@@ -1,6 +1,7 @@
 """CLI: configuration handling, output schemas, exit codes."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from levelcross.cli import (
     main,
     parse_flat_config,
 )
+from levelcross.density import brownian_density
 from levelcross.errors import ConfigurationError
+from levelcross.model import ComplexLevel, MonomialBasis, TimeGrid
 from levelcross.quadrature import QuadratureResult, integrate_density
 
 
@@ -230,6 +233,25 @@ class TestScalarCommands:
         )
         assert code == 0
         assert json.loads(out)["value"] > 0
+        # The CLI's theorem-5 field is brownian_density, bit for bit.
+        times = (0.5, 1.5, 3.0)
+        field, theorem = RunConfig(
+            basis="brownian-prefix", time_grid=times, k1=0.3, k2=-0.2).density_field()
+        grid = np.linspace(-1.5, 1.5, 6)[None, :] + 1j * np.linspace(-1.0, 1.0, 4)[:, None]
+        expected = brownian_density(
+            MonomialBasis(2), TimeGrid(times), ComplexLevel(0.3, -0.2), grid).h
+        assert theorem == "5"
+        assert np.array_equal(field(grid), expected)
+
+    @pytest.mark.parametrize("command", ["density", "expect", "mc", "compare"])
+    def test_each_command_builds_the_model_once(self, command, monkeypatch, capsys):
+        calls = []
+        build = RunConfig.build
+        monkeypatch.setattr(RunConfig, "build", lambda self: calls.append(1) or build(self))
+        code, _, _ = run_cli(
+            [command, "--nx", "3", "--ny", "3", "--trials", "4000", "--seed", "3"], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
 
 def _floats(values):
@@ -249,10 +271,10 @@ def folded_and_full(argv, monkeypatch):
         return inner(counted, *args, **kwargs)
 
     monkeypatch.setattr(cli, "integrate_density", counting)
-    folded = cli._integrate_region(config)
-    field, _ = config.density_field()
-    _, _, _, region = config.build()
-    full = integrate_density(field, region, abs_tol=config.abs_tol,
+    model = config.build()
+    folded = cli._integrate_region(config, model)
+    field, _ = config.density_field(model)
+    full = integrate_density(field, model[3], abs_tol=config.abs_tol,
                              rel_tol=config.rel_tol, max_cells=config.max_cells)
     return folded, sum(points), full
 
@@ -327,7 +349,59 @@ class TestSymmetryFold:
         assert folded.value == pytest.approx(full.value, rel=1e-15)
 
 
+def resolve(argv):
+    return cli.resolve_config(cli.build_parser().parse_args(["density", *argv]))
+
+
 class TestFlagsAndConfigFiles:
+    def test_every_config_key_has_a_flag(self):
+        parser = cli.build_parser()
+        text = parser.format_help()
+        for f in fields(RunConfig):
+            flag = f"--{f.name.replace('_', '-')}"
+            assert flag in text
+            assert getattr(parser.parse_args(["mc", flag, "7"]), f.name) == "7"
+
+    @pytest.mark.parametrize("key, value, valid", [
+        ("var_a", "[1, 2.5, 0.5]", True),
+        ("x_min", "-1", True),
+        ("theorem", "2", True),
+        ("nx", "3.0", True),
+        ("nx", "2.5", False),
+        ("nx", "inf", False),
+        ("seed", "nan", False),
+        ("basis", "hexagonal", False),
+        ("theorem", "6", False),
+        ("k1", "abc", False),
+        pytest.param("k1", "1" + "0" * 400, False, id="k1-400-digits-False"),
+    ])
+    def test_flag_and_file_line_validate_alike(self, key, value, valid, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        flag = f"--{key.replace('_', '-')}={value.strip('[]').replace(' ', '')}"
+        forms = ([flag], ["--config", str(cfg)])
+        if valid:
+            assert resolve(forms[0]) == resolve(forms[1])
+            return
+        for argv in forms:
+            with pytest.raises(ConfigurationError):
+                resolve(argv)
+            code, out, err = run_cli(["density", "--ny", "2", *argv], capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--nx", "-2"],
+        ["density", "--nx", "0"],
+        ["density", "--ny", "0"],
+        ["expect", "--abs-tol", "nan"],
+        ["compare", "--rel-tol", "nan", "--trials", "400"],
+    ])
+    def test_bad_grid_size_or_tolerance_exits_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("degree = 2\nnx = 3\nny = 3\nk1 = 0.0\n")

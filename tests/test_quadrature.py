@@ -162,6 +162,15 @@ class TestAdaptivity:
         with pytest.raises(ConfigurationError):
             integrate_density(lambda z: z.real, UNIT_SQUARE, 1e-6, -1.0)
 
+    def test_nan_tolerance_rejected_and_inf_accepted(self):
+        # NaN fails every comparison: only `tol > 0` rejects it; inf is a valid tolerance.
+        nan, inf = float("nan"), float("inf")
+        for abs_tol, rel_tol in ((nan, 1e-6), (1e-6, nan)):
+            with pytest.raises(ConfigurationError):
+                integrate_density(lambda z: np.ones(z.shape), UNIT_SQUARE, abs_tol, rel_tol)
+        result = integrate_density(lambda z: np.ones(z.shape), UNIT_SQUARE, inf, 1e-6)
+        assert result.converged and result.cells_used == 1
+
 
 class TestPassBatching:
     """Each refinement pass evaluates its children in few evaluator calls."""
