@@ -384,12 +384,13 @@ def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Recta
     Returns (fundamental region, weight): the integral of h over ``region``
     is ``weight`` times its integral over the fundamental region.
 
-    - Point fold, h(-z) = h(z): a monomial or weighted-monomial basis has
-      f_j(-z) = (-1)^j f_j(z), so the law of S - K is invariant under
-      z -> -z when every odd-index mean is zero.  The region must be
-      symmetric about 0.  The kept half is the one the quadrature's first
-      split makes, x >= 0 when the width is at least the height and y >= 0
-      otherwise, so its refinement tree mirrors the other half's.
+    - Point fold, h(-z) = h(z): a monomial family (``MonomialBasis`` and
+      its subclass ``WeightedMonomialBasis``) has f_j(-z) = (-1)^j f_j(z),
+      so the law of S - K is invariant under z -> -z when every odd-index
+      mean is zero.  The region must be symmetric about 0.  The kept half
+      is the one the quadrature's first split makes, x >= 0 when the width
+      is at least the height and y >= 0 otherwise, so its refinement tree
+      mirrors the other half's.
     - Conjugate fold, h(conj z) = h(z): every CLI basis is real on the real
       axis, so conj S(conj z) = sum (a_j - i b_j) f_j(z), which has the law
       of S when every mu_b is zero; at a real K it equals K exactly where
@@ -399,7 +400,7 @@ def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Recta
     """
     x0, x1, y0, y1 = region.x_min, region.x_max, region.y_min, region.y_max
     point = (
-        isinstance(basis, (MonomialBasis, WeightedMonomialBasis))
+        isinstance(basis, MonomialBasis)
         and not np.any(profile.mu_a[1::2])
         and not np.any(profile.mu_b[1::2])
         and x0 == -x1

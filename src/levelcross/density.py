@@ -26,16 +26,21 @@ from first principles (conditional moments of the Jacobian determinant times
 the Gaussian density of the field) without sharing the assembled formulas,
 and exist to cross-check the closed forms.
 
-Theorems 2 and 4 share one set of quadratic forms (y1, y2, y3, d1, d2, d3
-and the mean sums), which ``_covariance_parts`` reduces over blocks of
-points by one of two routes.  For ``MonomialBasis`` the derivative
-f_j' = j z^(j-1) is a value one index lower, so the forms come from the
-powers z^k = u_k + i v_k alone: the interleaved squares (u_k^2, v_k^2)
-reduced against five weight rows, plus the cross products u_k v_k against
-two; every other basis takes the general route over eight value/derivative
-products.  The power route writes d1 and d2 through the sums P1, P2
-(nonnegative terms) and C, not as the half-sums (S1 +- D1)/2 of a Hermitian
-and a bilinear sum, which cancel when var_a and var_b are far apart.
+Theorems 2, 3 and 4 share one set of quadratic forms (y1, y2, y3, d1, d2,
+d3 and the mean sums), which ``_basis_forms`` reduces over blocks of points
+by one of two routes, chosen by the structure of the basis.  The monomial
+families, ``MonomialBasis`` and its subclass ``WeightedMonomialBasis``,
+take the power route: the weights fold into the variances and means
+(w_j^2 var_j, w_j mu_j), and the derivative f_j' = j z^(j-1) is a value
+one index lower, so the forms come from the powers z^k = u_k + i v_k
+alone: the interleaved squares (u_k^2, v_k^2) reduced against five weight
+rows, plus the cross products u_k v_k against two.  Every other basis
+takes the general route over eight value/derivative products.  The power
+route writes d1 and d2 through the sums P1, P2 (nonnegative terms) and C,
+not as the half-sums (S1 +- D1)/2 of a Hermitian and a bilinear sum, which
+cancel when var_a and var_b are far apart.  ``_covariance_parts`` adds the
+determinant for theorems 2 and 4; theorem 3 reads B0 = y1, B1 = d1 and
+B2 = d3/2 from the unit-variance forms.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .model import (
     CoefficientProfile,
     MonomialBasis,
     TimeGrid,
+    WeightedMonomialBasis,
     as_level,
     build_brownian_basis,
 )
@@ -235,32 +241,30 @@ def _weighted_sums(weights, vals, derivs):
     return sums.reshape((weights.shape[0],) + prods.shape[1:])
 
 
-def _product_forms(profile, basis, points, means):
+def _product_forms(var_a, var_b, mu, basis, points):
     """Return (forms, cross, mean_sums) at ``points`` from value/derivative products.
 
-    The general route, for any basis: ``forms`` holds y1, y2, y3, d3 and
-    ``cross`` d1, d2, reduced by ``_weighted_sums`` per block;
-    ``mean_sums`` holds E(S) = mu @ f and m = mu @ f' with
-    mu = mu_a + i*mu_b, or is None without ``means``.
+    The general route: ``forms`` holds y1, y2, y3, d3 and ``cross`` d1, d2,
+    reduced by ``_weighted_sums`` per block; ``mean_sums`` holds E(S) = mu @ f
+    and m = mu @ f' for the complex means ``mu``, or is None without them.
     """
-    weights = np.stack((profile.var_a, profile.var_b))
-    mu = profile.mu_a + 1j * profile.mu_b
+    weights = np.stack((var_a, var_b))
     forms = np.empty((4, points.size))
     cross = np.empty((2, points.size), dtype=np.complex128)
-    mean_sums = np.empty((2, points.size), dtype=np.complex128) if means else None
+    mean_sums = None if mu is None else np.empty((2, points.size), dtype=np.complex128)
     for block, vals, derivs in _basis_blocks(basis, points):
         a, b = _weighted_sums(weights, vals, derivs)
         a_uu, a_vv, a_uv, a_up, a_vq, a_uq, a_vp, a_pp = a
         b_uu, b_vv, b_uv, b_up, b_vq, b_uq, b_vp, b_pp = b
         forms[:, block] = a_uu + b_vv, a_uv - b_uv, b_uu + a_vv, a_pp + b_pp
         cross[:, block] = (a_up + b_vq) + 1j * (a_uq - b_vp), (b_up + a_vq) + 1j * (b_uq - a_vp)
-        if means:
+        if mu is not None:
             mean_sums[:, block] = mu @ vals, mu @ derivs
     return forms, cross, mean_sums
 
 
-def _power_forms(profile, basis, points, means):
-    """Return what ``_product_forms`` returns, for ``MonomialBasis`` only.
+def _power_forms(var_a, var_b, mu, basis, points):
+    """Return what ``_product_forms`` returns, for the plain powers z^j of ``basis``.
 
     With z^k = u_k + i v_k and f_j' = j z^(j-1), every derivative product is
     a value product one index lower, so the basis is asked for the values
@@ -279,7 +283,7 @@ def _power_forms(profile, basis, points, means):
     v_j = y u_k + x v_k at z = x + iy,
     d1 = (x P1 - y C) + i (x C - y P2) and d2 = (x P2 + y C) - i (x C + y P1).
     """
-    a, b = profile.var_a, profile.var_b
+    a, b = var_a, var_b
     n = a.size
     j = np.arange(1.0, n)
     # The derivative weights of term j sit at row k = j - 1.
@@ -290,18 +294,18 @@ def _power_forms(profile, basis, points, means):
     cross_weights = np.zeros((2, n))
     cross_weights[0] = a - b
     cross_weights[1, :-1] = j * (a[1:] - b[1:])
-    mu = profile.mu_a + 1j * profile.mu_b
-    mu_deriv = np.zeros(n, dtype=np.complex128)
-    mu_deriv[:-1] = j * mu[1:]
+    if mu is not None:
+        mu_deriv = np.zeros(n, dtype=np.complex128)
+        mu_deriv[:-1] = j * mu[1:]
     # Interleaved like the squares: (u^2 sum, v^2 sum) per point.
     square_sums = np.empty((5, 2 * points.size))
     cross_sums = np.empty((2, points.size))
-    mean_sums = np.empty((2, points.size), dtype=np.complex128) if means else None
+    mean_sums = None if mu is None else np.empty((2, points.size), dtype=np.complex128)
     for block, vals, _ in _basis_blocks(basis, points, _POWER_BLOCK_TERMS, derivatives=False):
         pairs = slice(2 * block.start, 2 * block.stop)
         np.matmul(square_weights, np.square(vals.view(np.float64)), out=square_sums[:, pairs])
         np.matmul(cross_weights, vals.real * vals.imag, out=cross_sums[:, block])
-        if means:
+        if mu is not None:
             # Two vector products, not one (2, n) complex matmul: the matmul
             # was no faster (general_mean_density on 7200 points, one BLAS
             # thread: equal within 1% at N = 2 and 10, 3% slower at N = 40).
@@ -319,15 +323,40 @@ def _power_forms(profile, basis, points, means):
     return (y1, y2, y3, d3), cross, mean_sums
 
 
+def _basis_forms(var_a, var_b, mu, basis, points):
+    """Return (forms, cross, mean_sums) at the 1-D ``points`` by the structure of ``basis``.
+
+    The one choice of route.  The monomial families (``MonomialBasis`` and
+    its subclass ``WeightedMonomialBasis``) take ``_power_forms``: a member
+    w_j z^j whose coefficient has variances (var_a_j, var_b_j) and complex
+    mean mu_j is the power z^j with variances w_j^2 var_a_j, w_j^2 var_b_j
+    and mean w_j mu_j, so the weights are folded into the laws and the
+    route is handed the plain powers.  Every other basis takes
+    ``_product_forms``.  The arguments are arrays, not a
+    ``CoefficientProfile``: a zero weight folds into a zero variance.
+    ``mu`` is None when the mean sums are not wanted.
+    """
+    if not isinstance(basis, MonomialBasis):
+        return _product_forms(var_a, var_b, mu, basis, points)
+    if isinstance(basis, WeightedMonomialBasis):
+        w = basis.weights
+        w2 = w * w
+        var_a, var_b = w2 * var_a, w2 * var_b
+        mu = None if mu is None else w * mu
+        basis = MonomialBasis(basis.degree)
+    return _power_forms(var_a, var_b, mu, basis, points)
+
+
 def _covariance_parts(profile, basis, z, means: bool = False):
     """Plain quadratic forms at z: y1, y2, y3, det, d0, d1, d2, d3.
 
-    With ``means`` also ex1, ex2 and m of the mean field.  Two routes give
-    the same forms over blocks of points from ``_basis_blocks``:
+    With ``means`` also ex1, ex2 and m of the mean field.  ``_basis_forms``
+    picks the route over blocks of points from ``_basis_blocks``:
 
-    - ``_power_forms`` for ``MonomialBasis``: the squares and cross
-      products of the powers z^k, two matmuls per block (f_j' = j z^(j-1)),
-      with no derivative rows and larger blocks;
+    - ``_power_forms`` for ``MonomialBasis`` and ``WeightedMonomialBasis``
+      (weights folded into the variances and means): the squares and cross
+      products of the powers z^k, two matmuls per block
+      (f_j' = j z^(j-1)), with no derivative rows and larger blocks;
     - ``_product_forms`` for every other basis: eight value/derivative
       product rows reduced by ``_weighted_sums``.
 
@@ -343,8 +372,8 @@ def _covariance_parts(profile, basis, z, means: bool = False):
     relative floor; the density is undefined there.
     """
     z = np.asarray(z, dtype=np.complex128)
-    route = _power_forms if isinstance(basis, MonomialBasis) else _product_forms
-    forms, cross, mean_sums = route(profile, basis, z.reshape(-1), means)
+    mu = profile.mu_a + 1j * profile.mu_b if means else None
+    forms, cross, mean_sums = _basis_forms(profile.var_a, profile.var_b, mu, basis, z.reshape(-1))
     y1, y2, y3, d3 = (form.reshape(z.shape) for form in forms)
     d1, d2 = cross.reshape((2,) + z.shape)
     det = diff_of_products(y1, y3, y2, y2)
@@ -435,14 +464,12 @@ def equal_variance_density(sigma2: float, basis: BasisFamily, level, z) -> Equal
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
     level = as_level(level)
     z = np.asarray(z, dtype=np.complex128)
-    points = z.reshape(-1)
-    b0, b2 = np.empty(points.size), np.empty(points.size)
-    b1 = np.empty(points.size, dtype=np.complex128)
-    for block, vals, derivs in _basis_blocks(basis, points):
-        b0[block] = np.sum(vals.real**2 + vals.imag**2, axis=0)
-        b1[block] = np.sum(np.conj(vals) * derivs, axis=0)
-        b2[block] = np.sum(derivs.real**2 + derivs.imag**2, axis=0)
-    b0, b1, b2 = (b.reshape(z.shape) for b in (b0, b1, b2))
+    # B0, B1 and B2 are y1, d1 and d3/2 of the unit-variance forms.  They are
+    # read here, not through _covariance_parts, whose y1*y3 passes the double
+    # range at high degree.
+    unit = np.ones(basis.count)
+    (y1, _, _, d3), (d1, _), _ = _basis_forms(unit, unit, None, basis, z.reshape(-1))
+    b0, b1, b2 = (form.reshape(z.shape) for form in (y1, d1, 0.5 * d3))
     if np.any(b0 <= 0.0):
         raise DegeneratePointError("all basis functions vanish at an evaluation point")
     ksq = level.k1**2 + level.k2**2

@@ -136,10 +136,6 @@ class TimeGrid:
         self._times = times
         self._times.setflags(write=False)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self._times
-
     def __len__(self) -> int:
         return self._times.size
 
@@ -174,16 +170,6 @@ class CoefficientProfile:
             arr.setflags(write=False)
         if np.any(self._var_a <= 0.0) or np.any(self._var_b <= 0.0):
             raise ConfigurationError("variances must be strictly positive")
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[dict]) -> "CoefficientProfile":
-        """Build from records {mu_a, var_a, mu_b, var_b}."""
-        return cls(
-            [e["mu_a"] for e in entries],
-            [e["var_a"] for e in entries],
-            [e["mu_b"] for e in entries],
-            [e["var_b"] for e in entries],
-        )
 
     @classmethod
     def iid(cls, count: int, var_a: float = 1.0, var_b: float = 1.0,
@@ -320,8 +306,12 @@ class MonomialBasis(BasisFamily):
         return np.asarray(eta, dtype=np.complex128)
 
 
-class WeightedMonomialBasis(BasisFamily):
-    """f_j(z) = w_j z^j with real deterministic weights w_j."""
+class WeightedMonomialBasis(MonomialBasis):
+    """f_j(z) = w_j z^j with real deterministic weights w_j, not all zero.
+
+    A subclass of ``MonomialBasis``: the monomial families share the
+    structure the density's power route and the CLI's point fold rely on.
+    """
 
     def __init__(self, weights: Sequence[float]):
         w = np.array(weights, dtype=np.float64)
@@ -329,23 +319,21 @@ class WeightedMonomialBasis(BasisFamily):
             raise ConfigurationError("need at least two weights")
         if not np.all(np.isfinite(w)):
             raise ConfigurationError("weights must be finite")
+        if not np.any(w):
+            raise ConfigurationError("weights must not all be zero")
+        super().__init__(w.size - 1)
         self._weights = w
         self._weights.setflags(write=False)
-        self._inner = MonomialBasis(w.size - 1)
         # Members with trailing zero weights vanish identically, so the sum's
         # polynomial has lower degree; a degree-0 remainder keeps c_0.
-        self._poly_terms = int(np.flatnonzero(w).max(initial=0)) + 1
+        self._poly_terms = int(np.flatnonzero(w).max()) + 1
 
     @property
     def weights(self) -> np.ndarray:
         return self._weights
 
-    @property
-    def count(self) -> int:
-        return self._weights.size
-
     def values_and_derivatives(self, z, derivatives: bool = True):
-        vals, derivs = self._inner.values_and_derivatives(z, derivatives=derivatives)
+        vals, derivs = super().values_and_derivatives(z, derivatives=derivatives)
         shape = (self.count,) + (1,) * (vals.ndim - 1)
         w = self._weights.reshape(shape)
         return w * vals, None if derivs is None else w * derivs

@@ -1,12 +1,13 @@
 """Floating-point helpers for the density assembly.
 
 The quadratic forms of the density (y1, y2, y3, d1, d2, d3) and the mean
-sums are plain sums, reduced as matmuls in ``density._covariance_parts``:
-of the power products of z^k for ``MonomialBasis``, of the value and
-derivative products for every other basis.  Compensation buys nothing
-there: y1, y3 and d3, and the sums P1 and P2 that form d1 and d2 on the
-power route, add nonnegative terms (Higham, *Accuracy and Stability of
-Numerical Algorithms*, section 4).  The cancellation that matters is the determinant
+sums are plain sums, reduced as matmuls in ``density._basis_forms``: of
+the power products of z^k for the monomial families (``MonomialBasis`` and
+``WeightedMonomialBasis``), of the value and derivative products for every
+other basis.  Compensation buys nothing there: y1, y3 and d3, and the
+sums P1 and P2 that form d1 and d2 on the power route, add nonnegative
+terms (Higham, *Accuracy and Stability of Numerical Algorithms*,
+section 4).  The cancellation that matters is the determinant
 Y1*Y3 - Y2^2, whose square root scales the whole density; it is formed as an
 exactly-compensated difference of products via Dekker splitting.
 

@@ -402,6 +402,13 @@ class TestFlagsAndConfigFiles:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", [["density", "--nx", "2", "--ny", "2"], ["expect"],
+                                         ["mc", "--trials", "100"]])
+    def test_all_zero_weights_exit_2(self, command, capsys):
+        code, out, err = run_cli([*command, "--basis", "weighted-monomial", "--weights", "0,0"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "all be zero" in err
+
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("degree = 2\nnx = 3\nny = 3\nk1 = 0.0\n")

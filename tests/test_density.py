@@ -13,6 +13,7 @@ from levelcross import (
     DegenerateCovarianceError,
     DegeneratePointError,
     MonomialBasis,
+    PrefixSumBasis,
     TabulatedBasis,
     TimeGrid,
     WeightedMonomialBasis,
@@ -71,6 +72,32 @@ class TestReductions:
             parts = equal_variance_density(1.0, basis, ComplexLevel(0, 0), z)
             expected = (parts.b2 - abs(parts.b1) ** 2 / parts.b0) / (np.pi * parts.b0)
             assert rel_dev(float(parts.h), float(expected)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["monomial", "weighted", "prefix-sum", "tabulated"])
+    @pytest.mark.parametrize("degree", [2, 10, 40])
+    def test_equal_variance_sums_match_direct_sums(self, rng, degree, kind):
+        # B0, B1 and B2 come from the unit-variance forms of the shared
+        # routes; here they are summed directly over the basis table.
+        n = degree + 1
+        weights = rng.uniform(-2.0, 2.0, n)
+        weights[rng.integers(n)] = 0.0
+        basis = {
+            "monomial": MonomialBasis(degree),
+            "weighted": WeightedMonomialBasis(weights),
+            "prefix-sum": PrefixSumBasis(MonomialBasis(degree)),
+            "tabulated": TabulatedBasis([(lambda z, k=k: z**k, lambda z, k=k: k * z ** max(k - 1, 0))
+                                         for k in range(n)]),
+        }[kind]
+        z = np.array([disk_point(rng, 8.0) for _ in range(500)])
+        parts = equal_variance_density(1.0, basis, 1 + 0.5j, z)
+        vals, derivs = basis.values_and_derivatives(z)
+        direct = (
+            np.sum(np.abs(vals) ** 2, axis=0),
+            np.sum(np.conj(vals) * derivs, axis=0),
+            np.sum(np.abs(derivs) ** 2, axis=0),
+        )
+        for got, ref in zip((parts.b0, parts.b1, parts.b2), direct):
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
 
     def test_zero_level_matches_zero_mean(self, rng):
         for _ in range(30):
@@ -407,29 +434,32 @@ class TestContractsAndErrors:
 
 
 class TestPowerRoute:
-    """``MonomialBasis`` forms from the power products against the general route.
+    """The power route of the monomial families against the general route.
 
-    ``WeightedMonomialBasis`` with unit weights has the same members and
-    takes the general route, which forms every value/derivative product.
+    ``_product_forms`` forms every value/derivative product of any basis.
+    Patched in as ``_basis_forms``, it is the reference for the power route
+    on the same ``MonomialBasis``, and for the weights of a
+    ``WeightedMonomialBasis`` folded into the variances and means.
     """
 
-    @pytest.mark.parametrize("means", [False, True])
-    @pytest.mark.parametrize("degree", [2, 10, 40])
-    def test_power_route_matches_general_route(self, rng, degree, means):
-        n = degree + 1
-        profile = random_mean_profile(rng, n) if means else random_zero_mean_profile(rng, n)
-        power, general = MonomialBasis(degree), WeightedMonomialBasis(np.ones(n))
+    @staticmethod
+    def _compare_routes(monkeypatch, rng, profile, basis, means):
         # 12 001 points span at least two power-route blocks at every degree,
         # with a partial last block (5461, 1489 and 399 points per block).
         size = 12_001
         z = np.exp(rng.uniform(np.log(0.05), np.log(8.0), size) + 1j * rng.uniform(0, 2 * np.pi, size))
-        got = density._covariance_parts(profile, power, z, means=means)
-        ref = density._covariance_parts(profile, general, z, means=means)
+        evaluate = general_mean_density if means else zero_mean_density
+        got = density._covariance_parts(profile, basis, z, means=means)
+        h_got = evaluate(profile, basis, 1 + 0.5j, z).h
+        with monkeypatch.context() as patch:
+            patch.setattr(density, "_basis_forms", density._product_forms)
+            ref = density._covariance_parts(profile, basis, z, means=means)
+            h_ref = evaluate(profile, basis, 1 + 0.5j, z).h
         names = ("y1", "y2", "y3", "det", "d0", "d1", "d2", "d3") + (("ex1", "ex2", "m") if means else ())
         got, ref = dict(zip(names, got)), dict(zip(names, ref))
 
         # Natural scales: the sums of the magnitudes of the terms.
-        vals, derivs = general.values_and_derivatives(z)
+        vals, derivs = basis.values_and_derivatives(z)
         va, vb = profile.var_a, profile.var_b
         mu = np.abs(profile.mu_a + 1j * profile.mu_b)
         scale = {
@@ -446,11 +476,25 @@ class TestPowerRoute:
         if means:
             ex_got, ex_ref = got["ex1"] + 1j * got["ex2"], ref["ex1"] + 1j * ref["ex2"]
             assert np.max(np.abs(ex_got - ex_ref) / scale["ex"]) < 1e-13
-
-        evaluate = general_mean_density if means else zero_mean_density
-        h_got = evaluate(profile, power, 1 + 0.5j, z).h
-        h_ref = evaluate(profile, general, 1 + 0.5j, z).h
         assert np.max(np.abs(h_got - h_ref) / np.abs(h_ref)) < 1e-9
+
+    @pytest.mark.parametrize("means", [False, True])
+    @pytest.mark.parametrize("degree", [2, 10, 40])
+    def test_power_route_matches_general_route(self, monkeypatch, rng, degree, means):
+        n = degree + 1
+        profile = random_mean_profile(rng, n) if means else random_zero_mean_profile(rng, n)
+        self._compare_routes(monkeypatch, rng, profile, MonomialBasis(degree), means)
+
+    @pytest.mark.parametrize("means", [False, True])
+    @pytest.mark.parametrize("degree", [2, 10, 40])
+    def test_weight_fold_matches_general_route(self, monkeypatch, rng, degree, means):
+        n = degree + 1
+        profile = random_mean_profile(rng, n) if means else random_zero_mean_profile(rng, n)
+        # One zero weight and one negative weight among positive ones.
+        weights = rng.uniform(0.25, 2.0, n)
+        zero, negative = rng.choice(n, 2, replace=False)
+        weights[zero], weights[negative] = 0.0, -weights[negative]
+        self._compare_routes(monkeypatch, rng, profile, WeightedMonomialBasis(weights), means)
 
     def test_power_route_forms_no_derivative_products(self, monkeypatch, rng):
         def products_formed(*args):
@@ -467,11 +511,15 @@ class TestPowerRoute:
         monkeypatch.setattr(MonomialBasis, "values_and_derivatives", values_only)
         zero_mean, with_means = random_zero_mean_profile(rng, 4), random_mean_profile(rng, 4)
         z = np.array([0.3 + 0.2j, -1.5 + 0.7j])
-        assert np.all(np.isfinite(zero_mean_density(zero_mean, MonomialBasis(3), 1j, z).h))
-        assert np.all(np.isfinite(general_mean_density(with_means, MonomialBasis(3), 1j, z).h))
+        for basis in (MonomialBasis(3), WeightedMonomialBasis([0.5, 0.0, -2.0, 1.5])):
+            assert np.all(np.isfinite(zero_mean_density(zero_mean, basis, 1j, z).h))
+            assert np.all(np.isfinite(general_mean_density(with_means, basis, 1j, z).h))
+            assert np.all(np.isfinite(equal_variance_density(1.0, basis, 1j, z).h))
         tabulated = TabulatedBasis([(lambda z, k=k: z**k, lambda z, k=k: k * z ** max(k - 1, 0))
                                     for k in range(4)])
         with pytest.raises(RuntimeError, match="products formed"):
             zero_mean_density(zero_mean, tabulated, 1j, z)
         with pytest.raises(RuntimeError, match="products formed"):
             general_mean_density(with_means, tabulated, 1j, z)
+        with pytest.raises(RuntimeError, match="products formed"):
+            equal_variance_density(1.0, tabulated, 1j, z)

@@ -52,10 +52,6 @@ class TestCoefficientProfile:
         np.testing.assert_array_equal(p.var_a, 2.0 * np.ones(4))
         assert not p.has_zero_means
         assert p.equal_variance() is None
-        q = CoefficientProfile.from_entries(
-            [{"mu_a": 0, "var_a": 1, "mu_b": 0, "var_b": 1}] * 3
-        )
-        assert q.has_zero_means and q.equal_variance() == 1.0
 
     def test_immutable_arrays(self):
         p = CoefficientProfile.iid(3)
@@ -114,6 +110,13 @@ class TestBases:
         ])
         with pytest.raises(ConfigurationError, match="central-difference"):
             validate_basis(bad)
+
+    def test_weighted_rejects_all_zero_weights(self):
+        for weights in ([0.0, 0.0], [0.0, -0.0, 0.0]):
+            with pytest.raises(ConfigurationError, match="all be zero"):
+                WeightedMonomialBasis(weights)
+        for weights in ([0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0]):
+            assert WeightedMonomialBasis(weights).count == len(weights)
 
     def test_monomial_values(self, rng):
         basis = MonomialBasis(3)
