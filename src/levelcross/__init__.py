@@ -31,7 +31,6 @@ from .density import (
     DensityParts,
     DensityPartsGeneral,
     EqualVarianceParts,
-    brownian_density,
     brownian_density_direct,
     conditioned_jacobian_density,
     equal_variance_density,
@@ -74,7 +73,6 @@ __all__ = [
     "TabulatedBasis",
     "TimeGrid",
     "WeightedMonomialBasis",
-    "brownian_density",
     "brownian_density_direct",
     "build_brownian_basis",
     "companion_matrix",

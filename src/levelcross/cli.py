@@ -15,10 +15,11 @@ is also the flag ``--key`` with ``_`` written ``-``, whose text is read as
 the same value on a file line (list keys split on commas); flags win over the
 file, and the merged mapping is validated once.  So ``--nx 3.0`` is accepted
 as ``nx = 3.0`` is; ``nx`` and ``ny`` must be at least 1, integer keys reject
-non-finite values, and NaN tolerances are rejected.  Scalar profile entries
-broadcast across coefficient indices.  JSON outputs are strict JSON in UTF-8
-with LF line endings, with null for any non-finite number; CSV grids carry
-17-significant-digit floats.
+non-finite values, and NaN tolerances are rejected, as is a key that the
+chosen basis does not read (``_IGNORED_KEYS``) unless it keeps its default.
+Scalar profile entries broadcast across coefficient indices.  JSON outputs
+are strict JSON in UTF-8 with LF line endings, with null for any non-finite
+number; CSV grids carry 17-significant-digit floats.
 
 ``--theorem`` selects the closed form: 2 = zero means with per-index
 variances, 3 = one common variance, 4 = arbitrary means, 5 = Brownian
@@ -44,7 +45,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .density import (
-    brownian_density,
     brownian_density_direct,
     conditioned_jacobian_density,
     equal_variance_density,
@@ -77,6 +77,12 @@ __all__ = ["RunConfig", "main", "parse_flat_config", "emit_flat_config"]
 
 _BASIS_KINDS = ("monomial", "weighted-monomial", "brownian-prefix")
 _THEOREMS = ("2", "3", "4", "5", "auto")
+# Keys each basis does not read; they must keep their defaults.
+_IGNORED_KEYS = {
+    "monomial": ("weights", "time_grid"),
+    "weighted-monomial": ("degree", "time_grid"),
+    "brownian-prefix": ("degree", "weights", "mu_a", "var_a", "mu_b", "var_b"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +120,10 @@ class RunConfig:
     def __post_init__(self):
         if self.basis not in _BASIS_KINDS:
             raise ConfigurationError(f"basis must be one of {_BASIS_KINDS}, got {self.basis!r}")
+        ignored = [f.name for f in fields(self)
+                   if f.name in _IGNORED_KEYS[self.basis] and getattr(self, f.name) != f.default]
+        if ignored:
+            raise ConfigurationError(f"basis {self.basis!r} does not use {', '.join(ignored)}")
         if self.theorem not in _THEOREMS:
             raise ConfigurationError(f"theorem must be one of {_THEOREMS}, got {self.theorem!r}")
         if self.nx < 1 or self.ny < 1:
@@ -537,8 +547,9 @@ def cmd_reduce_check(config: RunConfig, out_path: str | None) -> int:
         times = np.cumsum(rng.uniform(0.2, 1.0, n))
         grid = TimeGrid(times)
         inner = MonomialBasis(n - 1)
+        prefix_basis, increments = build_brownian_basis(inner, grid)
         bump("brownian_direct_matches_composition",
-             rel(float(brownian_density(inner, grid, level, z).h),
+             rel(float(zero_mean_density(increments, prefix_basis, level, z).h),
                  float(brownian_density_direct(inner, grid, level, z).h)))
 
     report = {

@@ -11,7 +11,9 @@ Evaluators
 ``equal_variance_density`` common variance sigma^2 for every a_j and b_j
 ``general_mean_density``   per-index variances and arbitrary means
 ``zero_level_density``     K = 0 rational form (no exponential factor)
-``brownian_density``       coefficients from successive Brownian observations
+``brownian_density_direct`` Brownian observations by explicit suffix sums;
+                           theorem 5 itself is ``zero_mean_density`` on the
+                           prefix basis of ``build_brownian_basis``
 
 Oracles
 -------
@@ -76,7 +78,6 @@ __all__ = [
     "equal_variance_density",
     "general_mean_density",
     "zero_level_density",
-    "brownian_density",
     "brownian_density_direct",
     "moments_path_density",
     "conditioned_jacobian_density",
@@ -142,54 +143,11 @@ class DensityPartsGeneral(DensityParts):
     enter the covariance, so they are the same as for the zero-mean profile
     with these variances.  ex1, ex2 are the means of (Re S, Im S);
     m = sum E(a_j + i b_j) f_j'(z) is the derivative of the mean field.
-
-    The starred names are the mean-shifted quadratic forms of the classical
-    display (y1s = y1 - ex1^2 and so on, with d1s = d1 - ex1*m and
-    d2s = d2 + i*ex2*m).  They are read-only properties computed on each
-    access, so an evaluation pays only for h; they reduce to the plain forms
-    when all means vanish.
-
-    The shifted matrix (y1s, y2s; y2s, y3s) loses positive definiteness once
-    the mean vector leaves the unit Mahalanobis ellipse of the covariance, in
-    which case d0s is NaN; the density value h never depends on it (h is
-    assembled from the plain covariance, which is positive definite for every
-    nondegenerate profile).
     """
 
     m: np.ndarray
     ex1: np.ndarray
     ex2: np.ndarray
-
-    @property
-    def y1s(self) -> np.ndarray:
-        return self.y1 - self.ex1 * self.ex1
-
-    @property
-    def y2s(self) -> np.ndarray:
-        return self.y2 - self.ex1 * self.ex2
-
-    @property
-    def y3s(self) -> np.ndarray:
-        return self.y3 - self.ex2 * self.ex2
-
-    @property
-    def d0s(self) -> np.ndarray:
-        y2s = self.y2s
-        dets = diff_of_products(self.y1s, self.y3s, y2s, y2s)
-        with np.errstate(invalid="ignore"):
-            return np.where(dets > 0.0, np.sqrt(np.where(dets > 0.0, dets, 1.0)), np.nan)
-
-    @property
-    def d1s(self) -> np.ndarray:
-        return self.d1 - self.ex1 * self.m
-
-    @property
-    def d2s(self) -> np.ndarray:
-        return self.d2 + 1j * self.ex2 * self.m
-
-    @property
-    def d3s(self) -> np.ndarray:
-        return self.d3
 
 
 # ---------------------------------------------------------------------------
@@ -530,31 +488,19 @@ def zero_level_density(profile: CoefficientProfile, basis: BasisFamily, z):
     return braces / (2.0 * np.pi * d0)
 
 
-def brownian_density(inner: BasisFamily, grid: TimeGrid, level, z) -> DensityParts:
-    """Density when the coefficients are successive observations of a Brownian path.
-
-    Implemented as the composition of the prefix-sum basis construction with
-    ``zero_mean_density``; ``brownian_density_direct`` evaluates the same
-    quantity through the expanded per-increment sums.
-    """
-    basis, profile = build_brownian_basis(inner, grid)
-    return zero_mean_density(profile, basis, level, z)
-
-
 def brownian_density_direct(inner: BasisFamily, grid: TimeGrid, level, z) -> DensityParts:
-    """Redundant direct evaluation of ``brownian_density``.
+    """Theorem 5 through the expanded per-increment sums.
 
-    Forms the suffix sums of the inner basis explicitly and accumulates the
-    quadratic forms per increment, as the expanded statement displays them.
-    Kept as an independent arithmetic path for testing.
+    ``zero_mean_density`` on the prefix basis and increment profile that
+    ``build_brownian_basis`` returns evaluates the same quantity.  Here only
+    the increment variances (and the checks of the grid) come from that
+    construction: the suffix sums of the inner basis are formed explicitly
+    and the quadratic forms accumulated per increment, as the expanded
+    statement displays them.  Kept as an independent arithmetic path for
+    testing.
     """
-    if inner.count != len(grid):
-        raise ConfigurationError(
-            f"basis size {inner.count} does not match grid length {len(grid)}"
-        )
-    gaps = grid.gaps()
-    if gaps[0] <= 0.0:
-        raise ConfigurationError("t_0 must be positive: the first increment variance is t_0")
+    _, profile = build_brownian_basis(inner, grid)
+    gaps = profile.var_a
     level = as_level(level)
     z = np.asarray(z, dtype=np.complex128)
     vals, derivs = inner.values_and_derivatives(z)

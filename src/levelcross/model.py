@@ -159,7 +159,12 @@ class CoefficientProfile:
 
     def __init__(self, mu_a, var_a, mu_b, var_b):
         arrays = [np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (mu_a, var_a, mu_b, var_b)]
-        n = max(a.size for a in arrays)
+        sizes = [a.size for a in arrays]
+        n = max(sizes)
+        if any(size not in (1, n) for size in sizes):
+            raise ConfigurationError(
+                f"mu_a, var_a, mu_b, var_b have {sizes} entries; each needs 1 or {n}"
+            )
         arrays = [np.broadcast_to(a, (n,)).copy() for a in arrays]
         self._mu_a, self._var_a, self._mu_b, self._var_b = arrays
         if n < 2:
@@ -182,10 +187,6 @@ class CoefficientProfile:
     def size(self) -> int:
         """Number of coefficients N + 1."""
         return self._mu_a.size
-
-    @property
-    def degree(self) -> int:
-        return self.size - 1
 
     @property
     def mu_a(self) -> np.ndarray:

@@ -21,7 +21,6 @@ from levelcross import (
     MonomialBasis,
     Rectangle,
     TimeGrid,
-    brownian_density,
     brownian_density_direct,
     build_brownian_basis,
     equal_variance_density,
@@ -335,10 +334,11 @@ def test_criterion_7_brownian_consistency():
         inner = MonomialBasis(n - 1)
         z = disk_point(rng, 1.5)
         level = _disk_level(rng, 1.0)
+        basis, profile = build_brownian_basis(inner, grid)
         worst = max(
             worst,
             rel_dev(
-                float(brownian_density(inner, grid, level, z).h),
+                float(zero_mean_density(profile, basis, level, z).h),
                 float(brownian_density_direct(inner, grid, level, z).h),
             ),
         )
@@ -353,7 +353,7 @@ def test_criterion_7_brownian_consistency():
         basis, profile = build_brownian_basis(inner, grid)
         region = Rectangle(-1, 1, -1, 1)
         quad = integrate_density(
-            lambda z: brownian_density(inner, grid, level, z).h, region, 1e-7, 1e-7
+            lambda z: zero_mean_density(profile, basis, level, z).h, region, 1e-7, 1e-7
         )
         mc = estimate_expected_count(profile, basis, level, region,
                                      trials=10000, seed=7070 + i)

@@ -14,9 +14,9 @@ from levelcross.cli import (
     main,
     parse_flat_config,
 )
-from levelcross.density import brownian_density
+from levelcross.density import zero_mean_density
 from levelcross.errors import ConfigurationError
-from levelcross.model import ComplexLevel, MonomialBasis, TimeGrid
+from levelcross.model import ComplexLevel, MonomialBasis, TimeGrid, build_brownian_basis
 from levelcross.quadrature import QuadratureResult, integrate_density
 
 
@@ -233,13 +233,13 @@ class TestScalarCommands:
         )
         assert code == 0
         assert json.loads(out)["value"] > 0
-        # The CLI's theorem-5 field is brownian_density, bit for bit.
+        # The CLI's theorem-5 field is theorem 2 on the prefix basis, bit for bit.
         times = (0.5, 1.5, 3.0)
         field, theorem = RunConfig(
             basis="brownian-prefix", time_grid=times, k1=0.3, k2=-0.2).density_field()
         grid = np.linspace(-1.5, 1.5, 6)[None, :] + 1j * np.linspace(-1.0, 1.0, 4)[:, None]
-        expected = brownian_density(
-            MonomialBasis(2), TimeGrid(times), ComplexLevel(0.3, -0.2), grid).h
+        basis, profile = build_brownian_basis(MonomialBasis(2), TimeGrid(times))
+        expected = zero_mean_density(profile, basis, ComplexLevel(0.3, -0.2), grid).h
         assert theorem == "5"
         assert np.array_equal(field(grid), expected)
 
@@ -408,6 +408,18 @@ class TestFlagsAndConfigFiles:
         code, out, err = run_cli([*command, "--basis", "weighted-monomial", "--weights", "0,0"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "all be zero" in err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--weights", "1,2"], "weights"),
+        (["--time-grid", "1,2,3"], "time_grid"),
+        (["--basis", "brownian-prefix", "--time-grid", "1,2,3", "--mu-a", "5", "--var-b", "9"],
+         "mu_a, var_b"),
+        (["--basis", "weighted-monomial", "--weights", "1,1,1", "--degree", "7"], "degree"),
+    ])
+    def test_key_the_basis_ignores_exits_2(self, argv, key, capsys):
+        code, out, err = run_cli(["expect", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and f"does not use {key}" in err
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -17,8 +17,8 @@ from levelcross import (
     TabulatedBasis,
     TimeGrid,
     WeightedMonomialBasis,
-    brownian_density,
     brownian_density_direct,
+    build_brownian_basis,
     conditioned_jacobian_density,
     equal_variance_density,
     general_mean_density,
@@ -31,6 +31,24 @@ from conftest import disk_point, random_level, random_mean_profile, random_zero_
 
 UNIT_PROFILE = CoefficientProfile.iid(3)
 QUAD_BASIS = MonomialBasis(2)
+BASIS_KINDS = ["monomial", "weighted", "prefix-sum", "tabulated"]
+
+
+def basis_of_kind(kind, degree, rng):
+    """A degree-``degree`` basis of each structure the shared routes tell apart.
+
+    The weighted basis has random weights in [-2, 2] with one of them zero.
+    """
+    n = degree + 1
+    weights = rng.uniform(-2.0, 2.0, n)
+    weights[rng.integers(n)] = 0.0
+    return {
+        "monomial": MonomialBasis(degree),
+        "weighted": WeightedMonomialBasis(weights),
+        "prefix-sum": PrefixSumBasis(MonomialBasis(degree)),
+        "tabulated": TabulatedBasis([(lambda z, k=k: z**k, lambda z, k=k: k * z ** max(k - 1, 0))
+                                     for k in range(n)]),
+    }[kind]
 
 
 class TestSpotValues:
@@ -73,21 +91,12 @@ class TestReductions:
             expected = (parts.b2 - abs(parts.b1) ** 2 / parts.b0) / (np.pi * parts.b0)
             assert rel_dev(float(parts.h), float(expected)) < 1e-12
 
-    @pytest.mark.parametrize("kind", ["monomial", "weighted", "prefix-sum", "tabulated"])
+    @pytest.mark.parametrize("kind", BASIS_KINDS)
     @pytest.mark.parametrize("degree", [2, 10, 40])
     def test_equal_variance_sums_match_direct_sums(self, rng, degree, kind):
         # B0, B1 and B2 come from the unit-variance forms of the shared
         # routes; here they are summed directly over the basis table.
-        n = degree + 1
-        weights = rng.uniform(-2.0, 2.0, n)
-        weights[rng.integers(n)] = 0.0
-        basis = {
-            "monomial": MonomialBasis(degree),
-            "weighted": WeightedMonomialBasis(weights),
-            "prefix-sum": PrefixSumBasis(MonomialBasis(degree)),
-            "tabulated": TabulatedBasis([(lambda z, k=k: z**k, lambda z, k=k: k * z ** max(k - 1, 0))
-                                         for k in range(n)]),
-        }[kind]
+        basis = basis_of_kind(kind, degree, rng)
         z = np.array([disk_point(rng, 8.0) for _ in range(500)])
         parts = equal_variance_density(1.0, basis, 1 + 0.5j, z)
         vals, derivs = basis.values_and_derivatives(z)
@@ -119,18 +128,12 @@ class TestReductions:
             a = float(zero_mean_density(profile, basis, level, z).h)
             parts = general_mean_density(profile, basis, level, z)
             assert rel_dev(a, float(parts.h)) < 1e-12
-            # Reduction identity of the diagnostics.
-            ref = zero_mean_density(profile, basis, level, z)
-            assert rel_dev(float(parts.y1s), float(ref.y1)) < 1e-14
-            assert rel_dev(float(parts.y3s), float(ref.y3)) < 1e-14
-            assert abs(float(parts.y2s) - float(ref.y2)) < 1e-14 * (1 + abs(float(ref.y2)))
             assert parts.m == 0 and parts.ex1 == 0 and parts.ex2 == 0
 
 
 class TestGeneralMeanDiagnostics:
     def test_one_determinant_per_call(self, monkeypatch, rng):
-        # h needs one compensated determinant; the display field d0s forms
-        # its own only when read.
+        # h needs one compensated determinant.
         calls = []
         original = density.diff_of_products
 
@@ -140,11 +143,8 @@ class TestGeneralMeanDiagnostics:
 
         monkeypatch.setattr(density, "diff_of_products", counted)
         z = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
-        parts = general_mean_density(random_mean_profile(rng, 4), MonomialBasis(3),
-                                     random_level(rng), z)
+        general_mean_density(random_mean_profile(rng, 4), MonomialBasis(3), random_level(rng), z)
         assert len(calls) == 1
-        parts.d0s
-        assert len(calls) == 2
 
     @pytest.mark.parametrize("degree", [2, 10, 40])
     def test_plain_forms_at_zero_means(self, rng, degree):
@@ -159,10 +159,27 @@ class TestGeneralMeanDiagnostics:
         for name in ("y1", "y2", "y3", "d0", "d1", "d2", "d3"):
             np.testing.assert_array_equal(getattr(parts, name), getattr(ref, name))
         np.testing.assert_allclose(parts.h, ref.h, rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(parts.d3s, ref.d3)
 
-    def test_common_mean_shifted_form(self, rng):
-        # With mu_a = mu_b = mu: y1s = sum(va u^2 + vb v^2) - mu^2 (sum(u - v))^2.
+    @pytest.mark.parametrize("kind", BASIS_KINDS)
+    @pytest.mark.parametrize("degree", [2, 10, 40])
+    def test_mean_sums_match_direct_sums(self, rng, degree, kind):
+        # E(S) = ex1 + i ex2 and m come from the shared routes (on the power
+        # route m through the shifted means j mu_j); here they are summed
+        # directly over the basis table.  Random-sign means can cancel, so
+        # the error is measured against the sum of the terms' moduli.
+        basis = basis_of_kind(kind, degree, rng)
+        profile = random_mean_profile(rng, degree + 1)
+        mu = profile.mu_a + 1j * profile.mu_b
+        z = np.array([disk_point(rng, 8.0) for _ in range(500)])
+        parts = general_mean_density(profile, basis, 1 + 0.5j, z)
+        vals, derivs = basis.values_and_derivatives(z)
+        for got, table in ((parts.ex1 + 1j * parts.ex2, vals), (parts.m, derivs)):
+            scale = np.abs(mu) @ np.abs(table)
+            assert np.max(np.abs(got - mu @ table) / scale) < 1e-13
+
+    def test_common_mean_forms(self, rng):
+        # With mu_a = mu_b = mu: E(S) = mu (1 + i) sum f, and the plain
+        # forms do not see the means.
         for _ in range(20):
             n = int(rng.integers(2, 7))
             mu = float(rng.uniform(-0.8, 0.8))
@@ -174,17 +191,16 @@ class TestGeneralMeanDiagnostics:
             vals, _ = basis.values_and_derivatives(np.complex128(z))
             u, v = vals.real, vals.imag
             parts = general_mean_density(profile, basis, random_level(rng), z)
-            y1_expected = np.sum(var_a * u**2 + var_b * v**2) - mu**2 * np.sum(u - v) ** 2
-            y3_expected = np.sum(var_a * v**2 + var_b * u**2) - mu**2 * np.sum(u + v) ** 2
-            y2_expected = (np.sum((var_a - var_b) * u * v)
-                           - mu**2 * np.sum(u - v) * np.sum(u + v))
-            assert rel_dev(float(parts.y1s), float(y1_expected)) < 1e-12
-            assert rel_dev(float(parts.y3s), float(y3_expected)) < 1e-12
-            assert abs(float(parts.y2s) - y2_expected) < 1e-12 * (1 + abs(y2_expected))
+            assert rel_dev(float(parts.y1), np.sum(var_a * u**2 + var_b * v**2)) < 1e-12
+            assert rel_dev(float(parts.y3), np.sum(var_a * v**2 + var_b * u**2)) < 1e-12
+            y2_expected = np.sum((var_a - var_b) * u * v)
+            assert abs(float(parts.y2) - y2_expected) < 1e-12 * (1 + abs(y2_expected))
+            for got, expected in ((parts.ex1, mu * np.sum(u - v)), (parts.ex2, mu * np.sum(u + v))):
+                assert abs(float(got) - expected) < 1e-12 * (1 + abs(expected))
 
-    def test_common_variance_shifted_form(self, rng):
-        # With var_a = var_b = s2 and arbitrary means: d3s = 2 s2 sum |f'|^2,
-        # d1s = s2 B1 - ex1 * m, d2s = s2 B1 + i ex2 * m.
+    def test_common_variance_forms(self, rng):
+        # With var_a = var_b = s2 and arbitrary means: d1 = d2 = s2 B1 and
+        # d3 = 2 s2 sum |f'|^2, the unit-variance forms scaled by s2.
         for _ in range(20):
             n = int(rng.integers(2, 7))
             s2 = float(rng.uniform(0.25, 4.0))
@@ -196,32 +212,19 @@ class TestGeneralMeanDiagnostics:
             vals, derivs = basis.values_and_derivatives(np.complex128(z))
             parts = general_mean_density(profile, basis, random_level(rng), z)
             d3_expected = 2.0 * s2 * np.sum(np.abs(derivs) ** 2)
-            assert rel_dev(float(parts.d3s), float(d3_expected)) < 1e-12
+            assert rel_dev(float(parts.d3), float(d3_expected)) < 1e-12
             b1 = np.sum(np.conj(vals) * derivs)
-            assert abs(complex(parts.d1s) - (s2 * b1 - complex(parts.ex1) * complex(parts.m))) \
-                <= 1e-12 * (1 + abs(s2 * b1))
-            assert abs(complex(parts.d2s) - (s2 * b1 + 1j * complex(parts.ex2) * complex(parts.m))) \
-                <= 1e-12 * (1 + abs(s2 * b1))
-
-    def test_shifted_determinant_consistency(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            profile = random_mean_profile(rng, n, mean_scale=0.4)
-            basis = MonomialBasis(n - 1)
-            parts = general_mean_density(profile, basis, random_level(rng), disk_point(rng, 2.0))
-            d0s = float(parts.d0s)
-            if np.isnan(d0s):
-                continue
-            det = float(parts.y1s) * float(parts.y3s) - float(parts.y2s) ** 2
-            assert d0s > 0
-            assert rel_dev(d0s**2, det) < 1e-12
+            for cross in (parts.d1, parts.d2):
+                assert abs(complex(cross) - s2 * b1) <= 1e-12 * (1 + abs(s2 * b1))
 
     def test_shifted_determinant_can_lose_definiteness(self):
-        # Large means push the shifted display matrix out of the PD cone; the
-        # density itself stays finite and positive.
+        # Large means push the mean-shifted matrix (y1 - ex1^2, ...) of the
+        # classical display out of the PD cone; h is assembled from the plain
+        # covariance and stays finite and positive.
         profile = CoefficientProfile.iid(3, var_a=0.5, var_b=0.5, mu_a=1.0, mu_b=1.0)
         parts = general_mean_density(profile, QUAD_BASIS, ComplexLevel(0, 0), 0j)
-        assert np.isnan(float(parts.d0s))
+        y1, y2, y3, ex1, ex2 = (float(x) for x in (parts.y1, parts.y2, parts.y3, parts.ex1, parts.ex2))
+        assert (y1 - ex1**2) * (y3 - ex2**2) - (y2 - ex1 * ex2) ** 2 < 0
         assert np.isfinite(float(parts.h)) and float(parts.h) >= 0
 
 
@@ -317,13 +320,14 @@ class TestBrownian:
             inner = MonomialBasis(n - 1)
             z = disk_point(rng, 1.5)
             level = random_level(rng, 1.0)
-            a = float(brownian_density(inner, grid, level, z).h)
+            basis, profile = build_brownian_basis(inner, grid)
+            a = float(zero_mean_density(profile, basis, level, z).h)
             b = float(brownian_density_direct(inner, grid, level, z).h)
             assert rel_dev(a, b) < 1e-12
 
     def test_positive_at_spot(self):
-        h = brownian_density(MonomialBasis(2), TimeGrid([0.5, 1.5, 3.0]),
-                             ComplexLevel(0, 0), 0.2 + 0.1j).h
+        basis, profile = build_brownian_basis(MonomialBasis(2), TimeGrid([0.5, 1.5, 3.0]))
+        h = zero_mean_density(profile, basis, ComplexLevel(0, 0), 0.2 + 0.1j).h
         assert float(h) > 0
 
 

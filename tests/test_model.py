@@ -42,13 +42,17 @@ class TestCoefficientProfile:
         with pytest.raises(ConfigurationError):
             CoefficientProfile([0.0], [1.0], [0.0], [1.0])
 
+    def test_rejects_entry_counts_that_do_not_broadcast(self):
+        with pytest.raises(ConfigurationError, match=r"\[2, 3, 1, 1\] entries"):
+            CoefficientProfile([0, 0], [1, 1, 1], 0, 1)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ConfigurationError):
             CoefficientProfile([0, np.inf], [1, 1], [0, 0], [1, 1])
 
     def test_broadcast_and_entries(self):
         p = CoefficientProfile.iid(4, var_a=2.0, var_b=0.5, mu_a=0.1)
-        assert p.size == 4 and p.degree == 3
+        assert p.size == 4
         np.testing.assert_array_equal(p.var_a, 2.0 * np.ones(4))
         assert not p.has_zero_means
         assert p.equal_variance() is None

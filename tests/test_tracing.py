@@ -48,8 +48,8 @@ def test_tracer_installs_traces_and_uninstalls(capsys):
             "numerics.dop", "model.basis", "zerocount", "rng", "zerocount.eig"} <= names
     assert tracer.counts["density.calls"] > 0
     assert tracer.counts["zerocount.trials"] == 200
-    # The general-mean density forms one determinant per call: nothing on
-    # the CLI path reads its derived display fields.
+    # The general-mean density forms one determinant per call, and nothing
+    # else on the CLI path forms one.
     dop_spans = sum(1 for span in tracer.spans if span[0] == "numerics.dop")
     assert dop_spans == tracer.counts["density.calls"]
 
