@@ -1,25 +1,21 @@
 """Command-line frontend: bind a run configuration to evaluations.
 
-Subcommands
------------
-density       evaluate the selected density on a grid, write CSV ``x,y,h``
-expect        integrate the density over the region, write JSON
-mc            Monte Carlo zero-count estimate, write JSON
-compare       quadrature vs Monte Carlo with agreement verdict, write JSON
-reduce-check  run the reduction-chain and oracle-agreement checks, write JSON
+The subcommands (``density`` writes a CSV grid ``x,y,h``, the others JSON)
+are listed once, with their implementations, in ``_COMMANDS``.
 
 Configuration is a flat ``key = value`` text file (numbers, booleans,
 ``[a, b, c]`` lists, strings; ``#`` comments).  There is one key set, the
-fields of ``RunConfig``, and one validator, ``config_from_mapping``: each key
-is also the flag ``--key`` with ``_`` written ``-``, whose text is read as
-the same value on a file line (list keys split on commas); flags win over the
-file, and the merged mapping is validated once.  So ``--nx 3.0`` is accepted
-as ``nx = 3.0`` is; ``nx`` and ``ny`` must be at least 1, integer keys reject
-non-finite values, and NaN tolerances are rejected, as is a key that the
-chosen basis does not read (``_IGNORED_KEYS``) unless it keeps its default.
-Scalar profile entries broadcast across coefficient indices.  JSON outputs
-are strict JSON in UTF-8 with LF line endings, with null for any non-finite
-number; CSV grids carry 17-significant-digit floats.
+fields of ``RunConfig``, each typed by its default, and one validator,
+``config_from_mapping``: each key is also the flag ``--key`` with ``_``
+written ``-``, whose text is read as the same value on a file line (list keys
+split on commas); flags win over the file, and the merged mapping is
+validated once.  So ``--nx 3.0`` is accepted as ``nx = 3.0`` is; ``nx`` and
+``ny`` must be at least 1, integer keys reject non-finite values, and NaN
+tolerances are rejected, as is any given key that the chosen basis does not
+read (``_BASIS_KEYS``), whatever its value.  Scalar profile entries broadcast
+across coefficient indices.  JSON outputs are strict JSON in UTF-8 with LF
+line endings, with null for any non-finite number; CSV grids carry
+17-significant-digit floats.
 
 ``--theorem`` selects the closed form: 2 = zero means with per-index
 variances, 3 = one common variance, 4 = arbitrary means, 5 = Brownian
@@ -75,13 +71,12 @@ from .zerocount import MCEstimate, estimate_expected_count
 
 __all__ = ["RunConfig", "main", "parse_flat_config", "emit_flat_config"]
 
-_BASIS_KINDS = ("monomial", "weighted-monomial", "brownian-prefix")
 _THEOREMS = ("2", "3", "4", "5", "auto")
-# Keys each basis does not read; they must keep their defaults.
-_IGNORED_KEYS = {
-    "monomial": ("weights", "time_grid"),
-    "weighted-monomial": ("degree", "time_grid"),
-    "brownian-prefix": ("degree", "weights", "mu_a", "var_a", "mu_b", "var_b"),
+# The keys each basis kind reads; a given key that only other kinds read is rejected.
+_BASIS_KEYS = {
+    "monomial": ("degree", "mu_a", "var_a", "mu_b", "var_b"),
+    "weighted-monomial": ("weights", "mu_a", "var_a", "mu_b", "var_b"),
+    "brownian-prefix": ("time_grid",),
 }
 
 
@@ -92,12 +87,12 @@ _IGNORED_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved parameters of one CLI invocation."""
+    """Resolved parameters of one CLI invocation; each default fixes its key's type."""
 
     basis: str = "monomial"
     degree: int = 2
-    weights: tuple[float, ...] | None = None
-    time_grid: tuple[float, ...] | None = None
+    weights: tuple[float, ...] = ()
+    time_grid: tuple[float, ...] = ()
     mu_a: tuple[float, ...] = (0.0,)
     var_a: tuple[float, ...] = (1.0,)
     mu_b: tuple[float, ...] = (0.0,)
@@ -118,29 +113,15 @@ class RunConfig:
     theorem: str = "auto"
 
     def __post_init__(self):
-        if self.basis not in _BASIS_KINDS:
-            raise ConfigurationError(f"basis must be one of {_BASIS_KINDS}, got {self.basis!r}")
-        ignored = [f.name for f in fields(self)
-                   if f.name in _IGNORED_KEYS[self.basis] and getattr(self, f.name) != f.default]
-        if ignored:
-            raise ConfigurationError(f"basis {self.basis!r} does not use {', '.join(ignored)}")
+        if self.basis not in _BASIS_KEYS:
+            raise ConfigurationError(
+                f"basis must be one of {tuple(_BASIS_KEYS)}, got {self.basis!r}")
         if self.theorem not in _THEOREMS:
             raise ConfigurationError(f"theorem must be one of {_THEOREMS}, got {self.theorem!r}")
         if self.nx < 1 or self.ny < 1:
             raise ConfigurationError(f"nx and ny must be at least 1, got {self.nx} and {self.ny}")
 
     # -- construction of model objects ------------------------------------
-
-    def coefficient_count(self) -> int:
-        if self.basis == "weighted-monomial":
-            if self.weights is None:
-                raise ConfigurationError("weighted-monomial basis needs weights")
-            return len(self.weights)
-        if self.basis == "brownian-prefix":
-            if self.time_grid is None:
-                raise ConfigurationError("brownian-prefix basis needs time_grid")
-            return len(self.time_grid)
-        return self.degree + 1
 
     def _broadcast(self, values: tuple[float, ...], name: str, n: int) -> np.ndarray:
         if len(values) == 1:
@@ -152,18 +133,17 @@ class RunConfig:
         return np.asarray(values, dtype=np.float64)
 
     def build(self) -> tuple[CoefficientProfile, BasisFamily, ComplexLevel, Rectangle]:
-        n = self.coefficient_count()
         level = ComplexLevel(self.k1, self.k2)
         region = Rectangle(self.x_min, self.x_max, self.y_min, self.y_max)
         if self.basis == "brownian-prefix":
-            basis, profile = build_brownian_basis(
-                MonomialBasis(n - 1), TimeGrid(self.time_grid)
-            )
+            grid = TimeGrid(self.time_grid)
+            basis, profile = build_brownian_basis(MonomialBasis(len(grid) - 1), grid)
             return profile, basis, level, region
         if self.basis == "weighted-monomial":
             basis: BasisFamily = WeightedMonomialBasis(self.weights)
         else:
             basis = MonomialBasis(self.degree)
+        n = basis.count
         profile = CoefficientProfile(
             self._broadcast(self.mu_a, "mu_a", n),
             self._broadcast(self.var_a, "var_a", n),
@@ -208,11 +188,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Flat key = value configuration format
 # ---------------------------------------------------------------------------
-
-_LIST_FIELDS = {"weights", "time_grid", "mu_a", "var_a", "mu_b", "var_b"}
-_INT_FIELDS = {"degree", "nx", "ny", "trials", "seed", "max_cells"}
-_STR_FIELDS = {"basis", "theorem"}
-
 
 def _parse_scalar(token: str):
     token = token.strip()
@@ -265,11 +240,11 @@ def _format_scalar(value) -> str:
 
 
 def emit_flat_config(config: "RunConfig") -> str:
-    """Serialize a RunConfig so that parsing the text reproduces it exactly."""
+    """Serialize the keys that differ from their defaults; parsing reproduces the config."""
     lines = []
     for f in fields(config):
         value = getattr(config, f.name)
-        if value is None:
+        if value == f.default:
             continue
         if isinstance(value, tuple):
             lines.append(f"{f.name} = [{', '.join(_format_scalar(v) for v in value)}]")
@@ -291,21 +266,32 @@ def _as_number(value, key: str, integer: bool = False):
 
 
 def config_from_mapping(mapping: dict) -> RunConfig:
-    """Validate a parsed mapping and normalize it into a RunConfig."""
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(mapping) - known
+    """Validate a parsed mapping and normalize it into a RunConfig.
+
+    Each value is read as the type of its key's default.  A given key that
+    the chosen basis kind does not read is rejected, whatever its value.
+    """
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    unknown = set(mapping) - set(defaults)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict = {}
     for key, value in mapping.items():
-        if key in _LIST_FIELDS:
+        kind = type(defaults[key])
+        if kind is tuple:
             items = value if isinstance(value, list) else [value]
             kwargs[key] = tuple(_as_number(item, key) for item in items)
-        elif key in _STR_FIELDS:
+        elif kind is str:
             kwargs[key] = str(value)
         else:
-            kwargs[key] = _as_number(value, key, integer=key in _INT_FIELDS)
-    return RunConfig(**kwargs)
+            kwargs[key] = _as_number(value, key, integer=kind is int)
+    config = RunConfig(**kwargs)
+    read = _BASIS_KEYS[config.basis]
+    ignored = [key for key in defaults if key in mapping and key not in read
+               and any(key in keys for keys in _BASIS_KEYS.values())]
+    if ignored:
+        raise ConfigurationError(f"basis {config.basis!r} does not use {', '.join(ignored)}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -578,20 +564,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raw = getattr(args, f.name)
         if raw is None:
             continue
-        if f.name in _LIST_FIELDS:
+        if isinstance(f.default, tuple):
             mapping[f.name] = [_parse_scalar(tok) for tok in raw.split(",") if tok.strip()]
         else:
             mapping[f.name] = _parse_scalar(raw)
     return config_from_mapping(mapping)
 
 
-_COMMANDS = (
-    ("density", "evaluate the density on a grid (CSV)"),
-    ("expect", "integrate the density over the region (JSON)"),
-    ("mc", "Monte Carlo zero-count estimate (JSON)"),
-    ("compare", "quadrature vs Monte Carlo agreement (JSON)"),
-    ("reduce-check", "reduction-chain and oracle-agreement report (JSON)"),
-)
+_COMMANDS = {
+    "density": (cmd_density, "evaluate the density on a grid (CSV)"),
+    "expect": (cmd_expect, "integrate the density over the region (JSON)"),
+    "mc": (cmd_mc, "Monte Carlo zero-count estimate (JSON)"),
+    "compare": (cmd_compare, "quadrature vs Monte Carlo agreement (JSON)"),
+    "reduce-check": (cmd_reduce_check, "reduction-chain and oracle-agreement report (JSON)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -603,20 +589,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # One parser with the command as a positional choice: every command takes
     # the same options, and every ``main`` call builds the parser anew.
-    parser.add_argument("command", choices=[name for name, _ in _COMMANDS],
-                        help="; ".join(f"{name}: {text}" for name, text in _COMMANDS))
+    parser.add_argument("command", choices=list(_COMMANDS),
+                        help="; ".join(f"{name}: {text}" for name, (_, text) in _COMMANDS.items()))
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--echo-config", metavar="PATH",
                         help="write the resolved configuration to PATH")
     # One text flag per RunConfig field; resolve_config validates it as a file key.
-    choices = {"basis": _BASIS_KINDS, "theorem": _THEOREMS}
+    choices = {"basis": tuple(_BASIS_KEYS), "theorem": _THEOREMS}
     for f in fields(RunConfig):
         parser.add_argument(
             f"--{f.name.replace('_', '-')}",
             metavar="{" + ",".join(choices[f.name]) + "}" if f.name in choices else None,
             help="comma-separated values; one profile value broadcasts"
-            if f.name in _LIST_FIELDS else None,
+            if isinstance(f.default, tuple) else None,
         )
     return parser
 
@@ -627,15 +613,8 @@ def main(argv: list[str] | None = None) -> int:
         config = resolve_config(args)
         if args.echo_config:
             _write_output(emit_flat_config(config), args.echo_config)
-        dispatch = {
-            "density": cmd_density,
-            "expect": cmd_expect,
-            "mc": cmd_mc,
-            "compare": cmd_compare,
-            "reduce-check": cmd_reduce_check,
-        }
-        return dispatch[args.command](config, args.out)
-    except (ConfigurationError, ContractViolationError) as exc:
+        return _COMMANDS[args.command][0](config, args.out)
+    except (ConfigurationError, ContractViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateCovarianceError, DegeneratePointError) as exc:
@@ -644,9 +623,6 @@ def main(argv: list[str] | None = None) -> int:
     except DiscardRateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

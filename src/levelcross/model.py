@@ -158,7 +158,11 @@ class CoefficientProfile:
     """
 
     def __init__(self, mu_a, var_a, mu_b, var_b):
+        names = ("mu_a", "var_a", "mu_b", "var_b")
         arrays = [np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (mu_a, var_a, mu_b, var_b)]
+        for name, arr in zip(names, arrays):
+            if arr.ndim != 1:
+                raise ConfigurationError(f"{name} must be a scalar or 1-D, got shape {arr.shape}")
         sizes = [a.size for a in arrays]
         n = max(sizes)
         if any(size not in (1, n) for size in sizes):
@@ -169,7 +173,7 @@ class CoefficientProfile:
         self._mu_a, self._var_a, self._mu_b, self._var_b = arrays
         if n < 2:
             raise ConfigurationError("profile needs at least two coefficient entries")
-        for name, arr in zip(("mu_a", "var_a", "mu_b", "var_b"), arrays):
+        for name, arr in zip(names, arrays):
             if not np.all(np.isfinite(arr)):
                 raise ConfigurationError(f"{name} entries must be finite")
             arr.setflags(write=False)

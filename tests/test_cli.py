@@ -415,8 +415,17 @@ class TestFlagsAndConfigFiles:
         (["--basis", "brownian-prefix", "--time-grid", "1,2,3", "--mu-a", "5", "--var-b", "9"],
          "mu_a, var_b"),
         (["--basis", "weighted-monomial", "--weights", "1,1,1", "--degree", "7"], "degree"),
+        # Given at their default values, the keys are still ignored.
+        (["--basis", "weighted-monomial", "--weights", "1,1,1,1,1", "--degree", "2"], "degree"),
+        (["--basis", "brownian-prefix", "--time-grid", "0.5,1.5,3", "--var-a", "1"], "var_a"),
+        (["--config", 'basis = "brownian-prefix"\ntime_grid = [0.5, 1.5, 3]\ndegree = 2\n'],
+         "degree"),
     ])
-    def test_key_the_basis_ignores_exits_2(self, argv, key, capsys):
+    def test_key_the_basis_ignores_exits_2(self, argv, key, tmp_path, capsys):
+        if argv[0] == "--config":  # the case gives the file's text
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(argv[1])
+            argv = ["--config", str(cfg)]
         code, out, err = run_cli(["expect", *argv], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and f"does not use {key}" in err
@@ -443,6 +452,28 @@ class TestFlagsAndConfigFiles:
         assert first.degree == 3 and first.seed == 9 and first.trials == 600
         # Echo of the echo parses to the identical RunConfig.
         assert config_from_mapping(parse_flat_config(emit_flat_config(first))) == first
+
+    @pytest.mark.parametrize("argv", [
+        ["--basis", "weighted-monomial", "--weights", "1,0.5,2", "--var-a", "1,2,0.5",
+         "--k1", "0.5"],
+        ["--basis", "brownian-prefix", "--time-grid", "0.5,1.5,3", "--k1", "0.4"],
+    ], ids=["weighted-monomial", "brownian-prefix"])
+    def test_echo_config_reads_back_for_every_basis(self, argv, tmp_path, capsys):
+        echoed = tmp_path / "echo.cfg"
+        code, direct, _ = run_cli(["expect", *argv, "--echo-config", str(echoed)], capsys)
+        assert code == 0
+        assert "degree" not in echoed.read_text()
+        assert run_cli(["expect", "--config", str(echoed)], capsys) == (0, direct, "")
+
+    @pytest.mark.parametrize("basis", ["weighted-monomial", "brownian-prefix"])
+    def test_basis_without_its_input_exits_2(self, basis, capsys):
+        code, out, err = run_cli(["expect", "--basis", basis], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_every_basis_key_is_a_config_key(self):
+        names = {f.name for f in fields(RunConfig)}
+        assert all(set(keys) <= names for keys in cli._BASIS_KEYS.values())
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

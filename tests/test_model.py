@@ -45,6 +45,8 @@ class TestCoefficientProfile:
     def test_rejects_entry_counts_that_do_not_broadcast(self):
         with pytest.raises(ConfigurationError, match=r"\[2, 3, 1, 1\] entries"):
             CoefficientProfile([0, 0], [1, 1, 1], 0, 1)
+        with pytest.raises(ConfigurationError, match=r"mu_a must be a scalar or 1-D"):
+            CoefficientProfile([[0, 0, 0]], [1, 1, 1], 0, 1)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ConfigurationError):
