@@ -33,6 +33,7 @@ in ``density``; 5 too many Monte Carlo trials hit the region boundary; 6
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -384,9 +385,10 @@ def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Recta
       its subclass ``WeightedMonomialBasis``) has f_j(-z) = (-1)^j f_j(z),
       so the law of S - K is invariant under z -> -z when every odd-index
       mean is zero.  The region must be symmetric about 0.  The kept half
-      is the one the quadrature's first split makes, x >= 0 when the width
-      is at least the height and y >= 0 otherwise, so its refinement tree
-      mirrors the other half's.
+      is the one the quadrature's first bisection makes, x >= 0 when the
+      width is at least the height and y >= 0 otherwise.  Its root is one
+      level below the unfolded root, so where the quadrature splits a cell
+      into four its refinement tree differs from the unfolded run's.
     - Conjugate fold, h(conj z) = h(z): every CLI basis is real on the real
       axis, so conj S(conj z) = sum (a_j - i b_j) f_j(z), which has the law
       of S when every mu_b is zero; at a real K it equals K exactly where
@@ -580,6 +582,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="levelcross",
@@ -588,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
                "5 Brownian prefix basis, auto by profile shape",
     )
     # One parser with the command as a positional choice: every command takes
-    # the same options, and every ``main`` call builds the parser anew.
+    # the same options.  It is built once and shared by every ``main`` call;
+    # ``parse_args`` does not change it.
     parser.add_argument("command", choices=list(_COMMANDS),
                         help="; ".join(f"{name}: {text}" for name, (_, text) in _COMMANDS.items()))
     parser.add_argument("--config", help="flat key = value configuration file")

@@ -184,10 +184,12 @@ class TestPassBatching:
 
         result = integrate_density(f, Rectangle(-1, 1, -1, 1), 1e-10, 1e-10)
         assert result.converged
-        evaluated = 2 * result.cells_used - 1
+        evaluated = sum(rows // 15 for rows, _ in calls)
         assert result.cells_used > 1
         assert 1 <= result.passes < len(calls) < evaluated
         assert result.evaluations == 225 * evaluated == sum(rows * cols for rows, cols in calls)
+        # Bisection alone evaluates 2 * cells - 1; a double split skips the halves.
+        assert result.evaluations <= 225 * (2 * result.cells_used - 1)
         assert calls[0] == (15, 15)
         assert all(rows % 15 == 0 and cols == 15 for rows, cols in calls)
 
@@ -198,10 +200,10 @@ class TestPassBatching:
     @pytest.mark.parametrize("integrand, region, tol, max_cells, cells, value", [
         # Truncated by max_cells: the worst cells are split first.
         (lambda z: 1.0 / (1e-6 + (z.real - 0.3) ** 2 + (z.imag + 0.1) ** 2),
-         Rectangle(-1.0, 1.0, -1.0, 1.0), 1e-12, 77, 77, 62.38933411234591),
+         Rectangle(-1.0, 1.0, -1.0, 1.0), 1e-12, 77, 77, 62.389334111908965),
         # Integer bounds: midpoints must not truncate.
         (lambda z: np.exp(-4 * np.abs(z - (0.5 + 0.25j)) ** 2) * (1 + z.real**2),
-         Rectangle(-3, 2, -1, 2), 1e-11, 20000, 51, 1.0796562386577573),
+         Rectangle(-3, 2, -1, 2), 1e-11, 20000, 50, 1.0796562386577573),
     ], ids=["truncated", "integer-bounds"])
     def test_refinement_is_pinned(self, integrand, region, tol, max_cells, cells, value):
         # Pinned numbers: which cells are refined is a fixed function of the
@@ -210,6 +212,32 @@ class TestPassBatching:
         assert result.cells_used == cells
         assert result.converged == (cells < max_cells)
         assert abs(result.value - value) <= 1e-13 * abs(value)
+
+    def test_cell_far_over_its_share_is_split_into_four(self):
+        # The root's error is far above 2**15 times the tolerance, so the
+        # first pass evaluates its four quarters and never its two halves.
+        calls = []
+
+        def f(z):
+            calls.append(z.copy())
+            return 1.0 / (1e-4 + np.abs(z - (0.3 - 0.1j)) ** 2)
+
+        result = integrate_density(f, Rectangle(-1, 1, -1, 1), 1e-12, 1e-12, max_cells=4)
+        assert (result.cells_used, result.passes, result.evaluations) == (4, 1, 225 * 5)
+        quarters = calls[1].reshape(4, 15, 15)
+        centres = quarters.mean(axis=(1, 2))
+        # Spatial order: two longer-axis bisections of the square.
+        np.testing.assert_allclose(centres, [-0.5 - 0.5j, -0.5 + 0.5j, 0.5 - 0.5j, 0.5 + 0.5j],
+                                   atol=1e-15)
+
+    def test_cell_budget_holds_under_double_splits(self):
+        # A double split adds three cells; it is granted only where the
+        # budget has room for it, so no budget is overshot.
+        f = lambda z: 1.0 / (1e-6 + (z.real - 0.3) ** 2 + (z.imag + 0.1) ** 2)
+        for max_cells in range(1, 41):
+            result = integrate_density(f, Rectangle(-1, 1, -1, 1), 1e-12, 1e-12, max_cells)
+            assert result.cells_used <= max_cells
+            assert not result.converged
 
     def test_refinement_does_not_depend_on_grouping(self, monkeypatch):
         # A narrow peak whose per-cell errors reach the rounding floor of
