@@ -385,10 +385,9 @@ def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Recta
       its subclass ``WeightedMonomialBasis``) has f_j(-z) = (-1)^j f_j(z),
       so the law of S - K is invariant under z -> -z when every odd-index
       mean is zero.  The region must be symmetric about 0.  The kept half
-      is the one the quadrature's first bisection makes, x >= 0 when the
-      width is at least the height and y >= 0 otherwise.  Its root is one
-      level below the unfolded root, so where the quadrature splits a cell
-      into four its refinement tree differs from the unfolded run's.
+      is the one the quadrature's first split makes (a cell across an axis
+      is only bisected), x >= 0 when the width is at least the height and
+      y >= 0 otherwise, so its refinement tree mirrors the other half's.
     - Conjugate fold, h(conj z) = h(z): every CLI basis is real on the real
       axis, so conj S(conj z) = sum (a_j - i b_j) f_j(z), which has the law
       of S when every mu_b is zero; at a real K it equals K exactly where
@@ -419,11 +418,13 @@ def _integrate_region(config: RunConfig, model) -> QuadratureResult:
 
     h is integrated over the fundamental region of its exact symmetries
     (``_fundamental_region``) with ``abs_tol / weight``, the same
-    ``rel_tol`` and ``max_cells // weight``, so every refinement test of the
-    driver reads as it would over the whole region; the value, error
-    estimate and cell count are scaled back by the weight, while
-    ``evaluations`` and ``passes`` are those actually run.  A cell budget
-    below the weight integrates the whole region.  ``model`` is what
+    ``rel_tol`` and ``max_cells // weight``, so a cell's share of the
+    tolerance reads as it would over the whole region; where the kept part
+    is a cell of the whole region's tree (the point fold's half, the
+    quadrant of a square), the refinement within it is the whole region's.
+    The value, error estimate and cell count are scaled back by the weight,
+    while ``evaluations`` and ``passes`` are those actually run.  A cell
+    budget below the weight integrates the whole region.  ``model`` is what
     ``config.build()`` returned.
     """
     field, _ = config.density_field(model)

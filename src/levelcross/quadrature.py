@@ -7,12 +7,20 @@ the tolerance (the global rule of QUADPACK and DCUHRE); until then, every
 cell whose error exceeds an equal share of the tolerance is split along its
 longer axis.  A cell whose error exceeds ``DOUBLE_SPLIT_FACTOR = 2**15``
 times its share is split twice in the same pass, into the four quarters of
-two successive longer-axis bisections, and its halves are never evaluated:
-halving one side cuts the 7-point Gauss error (degree 13, so O(h^14)) by at
-most 2^14 and halving the area by another 2, so neither half could fall
-within its share.  The integrand is smooth away from degenerate points, so
-per-cell convergence is spectral and the deterministic result is independent
-of the stochastic verification path.
+two successive longer-axis bisections, and its halves are never evaluated.
+The factor is an asymptotic heuristic: once a cell is resolved, halving one
+side cuts the 7-point Gauss error (degree 13, so O(h^14)) by about 2^14 and
+halving the area by another 2, so neither half would fall within its share.
+Before that, one half can hold nearly all of the error and the other meet
+its share; the four quarters then cost no more evaluations than the two
+halves and the two quarters of the worse half, only one cell more.  A cell
+that straddles a coordinate axis is only bisected.  A region symmetric
+about the origin is first cut on an axis, so its two halves are cells of
+the tree, and within each the refinement is what a run over that half
+alone makes of it (the CLI's point fold integrates one such half).  The
+integrand is smooth away from degenerate points, so per-cell convergence is
+spectral and the deterministic result is independent of the stochastic
+verification path.
 
 The driver works one refinement pass at a time.  The cells are rows of
 arrays (corners, values, errors) kept in spatial order; a pass splits every
@@ -77,8 +85,8 @@ _NODES = len(KRONROD_NODES)
 CELLS_PER_CALL = 32
 
 # A cell whose error exceeds this many times its share of the tolerance is
-# split into four in one pass (2^14 from a halved side, 2 from the halved
-# area; see the module docstring).
+# split into four in one pass: asymptotically, 2^14 from a halved side and 2
+# from the halved area (see the module docstring).
 DOUBLE_SPLIT_FACTOR = 2**15
 
 
@@ -170,12 +178,14 @@ def integrate_density(
     no cell over its share, the worst cell is split.  Of the split cells,
     those whose error exceeds ``DOUBLE_SPLIT_FACTOR * tolerance / cells``
     are split into their four quarters instead, worst first, as long as the
-    two extra cells of each fit within ``max_cells``.  Reaching ``max_cells``
-    returns the best estimate with ``converged=False`` rather than raising,
-    and so does a non-finite cell value or error (the evaluator overflowed
-    somewhere in the region): refining cannot repair it.  Evaluator
-    exceptions (e.g. degenerate points inside the region) propagate to the
-    caller.
+    two extra cells of each fit within ``max_cells``; a cell that straddles
+    the real or the imaginary axis is only bisected, so that the halves of
+    a region symmetric about the origin refine as they would alone.
+    Reaching ``max_cells`` returns the best estimate with
+    ``converged=False`` rather than raising, and so does a non-finite cell
+    value or error (the evaluator overflowed somewhere in the region):
+    refining cannot repair it.  Evaluator exceptions (e.g. degenerate
+    points inside the region) propagate to the caller.
 
     The final reduction sums cell contributions in fixed spatial list order,
     so the result does not depend on evaluation scheduling.
@@ -212,7 +222,11 @@ def integrate_density(
         split[offenders] = True
         # A double split adds two cells more than a bisection; the worst
         # cells far over their share get one while the budget has room.
-        far = offenders[errors[offenders] > DOUBLE_SPLIT_FACTOR * share]
+        # Cells across an axis are only bisected, so that a region symmetric
+        # about the origin is cut on the axis and its halves are tree cells.
+        x0, x1, y0, y1 = boxes[offenders].T
+        across = ((x0 < 0.0) & (x1 > 0.0)) | ((y0 < 0.0) & (y1 > 0.0))
+        far = offenders[(errors[offenders] > DOUBLE_SPLIT_FACTOR * share) & ~across]
         far = far[np.argsort(-errors[far], kind="stable")[:(room - len(offenders)) // 2]]
         double = np.zeros(cells, dtype=bool)
         double[far] = True

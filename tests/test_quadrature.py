@@ -203,7 +203,7 @@ class TestPassBatching:
          Rectangle(-1.0, 1.0, -1.0, 1.0), 1e-12, 77, 77, 62.389334111908965),
         # Integer bounds: midpoints must not truncate.
         (lambda z: np.exp(-4 * np.abs(z - (0.5 + 0.25j)) ** 2) * (1 + z.real**2),
-         Rectangle(-3, 2, -1, 2), 1e-11, 20000, 50, 1.0796562386577573),
+         Rectangle(-3, 2, -1, 2), 1e-11, 20000, 52, 1.0796562386577573),
     ], ids=["truncated", "integer-bounds"])
     def test_refinement_is_pinned(self, integrand, region, tol, max_cells, cells, value):
         # Pinned numbers: which cells are refined is a fixed function of the
@@ -213,31 +213,39 @@ class TestPassBatching:
         assert result.converged == (cells < max_cells)
         assert abs(result.value - value) <= 1e-13 * abs(value)
 
-    def test_cell_far_over_its_share_is_split_into_four(self):
-        # The root's error is far above 2**15 times the tolerance, so the
-        # first pass evaluates its four quarters and never its two halves.
+    @pytest.mark.parametrize("region, centres", [
+        # Off the axes: the four quarters of two longer-axis bisections, in
+        # spatial order, and never the two halves.
+        (Rectangle(0, 2, 0, 2), [0.5 + 0.5j, 0.5 + 1.5j, 1.5 + 0.5j, 1.5 + 1.5j]),
+        # Across both axes: only bisected, so the halves x < 0 and x > 0 are
+        # cells of the tree.
+        (Rectangle(-1, 1, -1, 1), [-0.5, 0.5]),
+    ], ids=["off-axes", "across-axes"])
+    def test_cell_far_over_its_share_is_split_into_four(self, region, centres):
+        # The root's error is far above 2**15 times the tolerance.
         calls = []
+        peak = complex(0.5 * (region.x_min + region.x_max) + 0.3,
+                       0.5 * (region.y_min + region.y_max) - 0.1)
 
         def f(z):
             calls.append(z.copy())
-            return 1.0 / (1e-4 + np.abs(z - (0.3 - 0.1j)) ** 2)
+            return 1.0 / (1e-4 + np.abs(z - peak) ** 2)
 
-        result = integrate_density(f, Rectangle(-1, 1, -1, 1), 1e-12, 1e-12, max_cells=4)
-        assert (result.cells_used, result.passes, result.evaluations) == (4, 1, 225 * 5)
-        quarters = calls[1].reshape(4, 15, 15)
-        centres = quarters.mean(axis=(1, 2))
-        # Spatial order: two longer-axis bisections of the square.
-        np.testing.assert_allclose(centres, [-0.5 - 0.5j, -0.5 + 0.5j, 0.5 - 0.5j, 0.5 + 0.5j],
-                                   atol=1e-15)
+        integrate_density(f, region, 1e-12, 1e-12, max_cells=4)
+        first_pass = calls[1].reshape(-1, 15, 15).mean(axis=(1, 2))
+        np.testing.assert_allclose(first_pass, centres, atol=1e-15)
 
     def test_cell_budget_holds_under_double_splits(self):
         # A double split adds three cells; it is granted only where the
         # budget has room for it, so no budget is overshot.
-        f = lambda z: 1.0 / (1e-6 + (z.real - 0.3) ** 2 + (z.imag + 0.1) ** 2)
+        f = lambda z: 1.0 / (1e-6 + (z.real - 1.3) ** 2 + (z.imag - 0.9) ** 2)
+        quartered = 0
         for max_cells in range(1, 41):
-            result = integrate_density(f, Rectangle(-1, 1, -1, 1), 1e-12, 1e-12, max_cells)
+            result = integrate_density(f, Rectangle(0, 2, 0, 2), 1e-12, 1e-12, max_cells)
             assert result.cells_used <= max_cells
             assert not result.converged
+            quartered += result.evaluations < 225 * (2 * result.cells_used - 1)
+        assert quartered > 30
 
     def test_refinement_does_not_depend_on_grouping(self, monkeypatch):
         # A narrow peak whose per-cell errors reach the rounding floor of
