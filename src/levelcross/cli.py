@@ -20,9 +20,13 @@ line endings, with null for any non-finite number; CSV grids carry
 ``--theorem`` selects the closed form: 2 = zero means with per-index
 variances, 3 = one common variance, 4 = arbitrary means, 5 = Brownian
 prefix basis; ``auto`` picks by profile shape.  ``expect`` and ``compare``
-integrate h over the part of the region that the exact symmetries of the
-configured law (z -> -z, z -> conj z) map onto the rest, and scale the
-result back (``_fundamental_region``).
+integrate over the part of the region that the exact symmetries map onto
+the rest, and scale the result back (``_fundamental_region``).  A region
+symmetric about the real axis keeps y >= 0 and integrates the
+conjugate-pair mean (h(z) + h(conj z)) / 2, which needs no symmetry of h
+itself: h at conj z is h of the conjugate law (conj mu, conj K) at z, and
+both share the quadratic forms at z.  A monomial basis with zero odd-index
+means on a region symmetric about 0 also folds z -> -z and keeps a quadrant.
 
 Exit codes: 0 success; 2 configuration error, contract violation or (for
 ``compare``) no agreement; 3 degenerate evaluation; 4 degenerate grid cells
@@ -73,6 +77,13 @@ from .zerocount import MCEstimate, estimate_expected_count
 __all__ = ["RunConfig", "main", "parse_flat_config", "emit_flat_config"]
 
 _THEOREMS = ("2", "3", "4", "5", "auto")
+# Upper bounds on the sizes a run may ask for, stated in ``--help``.  A
+# Monte Carlo block holds at least one companion matrix of (degree + 1)^2
+# complex entries per thread (64 MB at the degree bound), the estimate keeps
+# one count per trial, and ``density`` holds its nx*ny grid and CSV text.
+MAX_DEGREE = 2000
+MAX_TRIALS = 10**7
+MAX_GRID_POINTS = 10**6
 # The keys each basis kind reads; a given key that only other kinds read is rejected.
 _BASIS_KEYS = {
     "monomial": ("degree", "mu_a", "var_a", "mu_b", "var_b"),
@@ -121,6 +132,14 @@ class RunConfig:
             raise ConfigurationError(f"theorem must be one of {_THEOREMS}, got {self.theorem!r}")
         if self.nx < 1 or self.ny < 1:
             raise ConfigurationError(f"nx and ny must be at least 1, got {self.nx} and {self.ny}")
+        degree = max(self.degree, len(self.weights) - 1, len(self.time_grid) - 1)
+        if degree > MAX_DEGREE:
+            raise ConfigurationError(f"degree {degree} exceeds the limit of {MAX_DEGREE}")
+        if self.trials > MAX_TRIALS:
+            raise ConfigurationError(f"trials {self.trials} exceeds the limit of {MAX_TRIALS}")
+        if self.nx * self.ny > MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"nx*ny = {self.nx * self.ny} exceeds the limit of {MAX_GRID_POINTS} grid points")
 
     # -- construction of model objects ------------------------------------
 
@@ -164,18 +183,23 @@ class RunConfig:
             return "3"
         return "2"
 
-    def density_field(self, model=None):
+    def density_field(self, model=None, mirror: bool = False):
         """Return (callable z -> h, selected theorem label).
 
         ``model`` is what ``build()`` returned; without it the model is built.
         Theorem 5 is theorem 2 on the prefix basis and increment profile.
+        With ``mirror`` the callable returns the conjugate-pair mean
+        (h(z) + h(conj z)) / 2; theorem 3's h is already symmetric under
+        z -> conj z, since it reads K only through |K|^2, and stays plain.
         """
         profile, basis, level, _ = model or self.build()
         which = self.select_theorem(profile)
         if which == "5" and self.basis != "brownian-prefix":
             raise ConfigurationError("theorem 5 needs the brownian-prefix basis")
         if which == "4":
-            return (lambda z: general_mean_density(profile, basis, level, z).h), which
+            return (
+                lambda z: general_mean_density(profile, basis, level, z, mirror=mirror).h
+            ), which
         if which == "3":
             sigma2 = profile.equal_variance()
             if sigma2 is None:
@@ -183,7 +207,7 @@ class RunConfig:
             if not profile.has_zero_means:
                 raise ConfigurationError("theorem 3 requires zero means")
             return (lambda z: equal_variance_density(sigma2, basis, level, z).h), which
-        return (lambda z: zero_mean_density(profile, basis, level, z).h), which
+        return (lambda z: zero_mean_density(profile, basis, level, z, mirror=mirror).h), which
 
 
 # ---------------------------------------------------------------------------
@@ -379,36 +403,35 @@ def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Recta
     """The part of ``region`` that the exact symmetries of h map onto all of it.
 
     Returns (fundamental region, weight): the integral of h over ``region``
-    is ``weight`` times its integral over the fundamental region.
+    is ``weight`` times the integral over the fundamental region of h itself
+    (weight 1) or of the conjugate-pair mean (h(z) + h(conj z)) / 2
+    (weight 2 or 4).
 
+    - Conjugate fold: every CLI basis is real on the real axis, so
+      conj S(conj z) = sum conj(eta_j) f_j(z), and h for the law mu at K
+      satisfies h(conj z) = h for conj mu at conj K, at z.  Over a region
+      symmetric about the real axis the integral of h is twice that of the
+      pair mean over y >= 0, whatever the means and the level.
     - Point fold, h(-z) = h(z): a monomial family (``MonomialBasis`` and
       its subclass ``WeightedMonomialBasis``) has f_j(-z) = (-1)^j f_j(z),
       so the law of S - K is invariant under z -> -z when every odd-index
-      mean is zero.  The region must be symmetric about 0.  The kept half
-      is the one the quadrature's first split makes (a cell across an axis
-      is only bisected), x >= 0 when the width is at least the height and
-      y >= 0 otherwise, so its refinement tree mirrors the other half's.
-    - Conjugate fold, h(conj z) = h(z): every CLI basis is real on the real
-      axis, so conj S(conj z) = sum (a_j - i b_j) f_j(z), which has the law
-      of S when every mu_b is zero; at a real K it equals K exactly where
-      S(conj z) does.  The region must be symmetric about the real axis; the
-      kept half is y >= 0.
-    - Both folds keep the quadrant x >= 0, y >= 0, with weight 4.
+      mean is zero; the conjugate law then is too.  The region must be
+      symmetric about 0, hence also about the real axis, and the pair mean
+      keeps the point symmetry: the quadrant x >= 0, y >= 0 carries a
+      quarter of the integral.
     """
     x0, x1, y0, y1 = region.x_min, region.x_max, region.y_min, region.y_max
+    conjugate = y0 == -y1
     point = (
-        isinstance(basis, MonomialBasis)
+        conjugate
+        and x0 == -x1
+        and isinstance(basis, MonomialBasis)
         and not np.any(profile.mu_a[1::2])
         and not np.any(profile.mu_b[1::2])
-        and x0 == -x1
-        and y0 == -y1
     )
-    conjugate = not np.any(profile.mu_b) and level.k2 == 0.0 and y0 == -y1
-    if point and conjugate:
+    if point:
         return Rectangle(0.0, x1, 0.0, y1), 4
-    if point and x1 - x0 >= y1 - y0:
-        return Rectangle(0.0, x1, y0, y1), 2
-    if point or conjugate:
+    if conjugate:
         return Rectangle(x0, x1, 0.0, y1), 2
     return region, 1
 
@@ -416,21 +439,24 @@ def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Recta
 def _integrate_region(config: RunConfig, model) -> QuadratureResult:
     """Integrate h over the region, as ``expect`` and ``compare`` report it.
 
-    h is integrated over the fundamental region of its exact symmetries
-    (``_fundamental_region``) with ``abs_tol / weight``, the same
-    ``rel_tol`` and ``max_cells // weight``, so a cell's share of the
-    tolerance reads as it would over the whole region; where the kept part
-    is a cell of the whole region's tree (the point fold's half, the
-    quadrant of a square), the refinement within it is the whole region's.
-    The value, error estimate and cell count are scaled back by the weight,
-    while ``evaluations`` and ``passes`` are those actually run.  A cell
-    budget below the weight integrates the whole region.  ``model`` is what
+    The integrand over the fundamental region of ``_fundamental_region`` is
+    the conjugate-pair mean of h (``density_field(mirror=True)``): one table
+    of basis values and one set of quadratic forms per point serve both of
+    its terms, and only the assembly of h is repeated, at conj K (and, with
+    means, conj mu).  Where the law is already invariant under conjugation
+    (every mu_b zero and K real, or theorem 3), the pair mean is h itself,
+    bit for bit.  The run uses ``abs_tol / weight``, the same ``rel_tol``
+    and ``max_cells // weight``, so a cell's share of the tolerance reads as
+    it would over the whole region.  The value, error estimate and cell
+    count are scaled back by the weight, while ``evaluations`` and
+    ``passes`` are those actually run.  A cell budget below the weight
+    integrates h over the whole region.  ``model`` is what
     ``config.build()`` returned.
     """
-    field, _ = config.density_field(model)
     part, weight = _fundamental_region(*model)
     if config.max_cells < weight:
         part, weight = model[3], 1
+    field, _ = config.density_field(model, mirror=weight > 1)
     result = integrate_density(
         field, part,
         abs_tol=config.abs_tol / weight, rel_tol=config.rel_tol,
@@ -602,12 +628,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the resolved configuration to PATH")
     # One text flag per RunConfig field; resolve_config validates it as a file key.
     choices = {"basis": tuple(_BASIS_KEYS), "theorem": _THEOREMS}
+    limits = {
+        "degree": f"at most {MAX_DEGREE}; weights and time_grid at most {MAX_DEGREE + 1} entries",
+        "trials": f"at most {MAX_TRIALS}",
+        "nx": f"nx*ny at most {MAX_GRID_POINTS}",
+        "ny": f"nx*ny at most {MAX_GRID_POINTS}",
+    }
     for f in fields(RunConfig):
         parser.add_argument(
             f"--{f.name.replace('_', '-')}",
             metavar="{" + ",".join(choices[f.name]) + "}" if f.name in choices else None,
             help="comma-separated values; one profile value broadcasts"
-            if isinstance(f.default, tuple) else None,
+            if isinstance(f.default, tuple) else limits.get(f.name),
         )
     return parser
 

@@ -43,6 +43,23 @@ not as the half-sums (S1 +- D1)/2 of a Hermitian and a bilinear sum, which
 cancel when var_a and var_b are far apart.  ``_covariance_parts`` adds the
 determinant for theorems 2 and 4; theorem 3 reads B0 = y1, B1 = d1 and
 B2 = d3/2 from the unit-variance forms.
+
+Conjugate pairs.  On a basis real on the real line,
+conj S(conj z) = sum conj(eta_j) f_j(z), so h for the means mu at the level
+K, evaluated at conj z, is h for conj mu at conj K, evaluated at z.  The
+conjugated law keeps every variance, so both share the forms y1 ... d3,
+det and d0 at z; only the level and the mean sums change.  With
+``mirror=True``, ``zero_mean_density`` and ``general_mean_density`` return
+the pair mean (h(z) + h(conj z)) / 2 from that one set of forms: the second
+term repeats only the assembly, at conj K, and for theorem 4 with the mean
+sums of conj mu, which the routes form from the real rows mu_a and mu_b
+rather than by a second complex product.  Where the law is its own
+conjugate (every mu_b zero and K real) the pair mean is h, bit for bit.
+The two terms agree with h at z and at conj z only to rounding: the table
+and the forms at conj z are the exact conjugates of those at z, but the
+assembly's intermediates (r, q2 r, |d1 + i d2|^2) are not invariant under
+the conjugation, and its braces cancel by factors of 1e5 to 1e6 at degree
+40 near |z| = 8.
 """
 
 from __future__ import annotations
@@ -199,17 +216,32 @@ def _weighted_sums(weights, vals, derivs):
     return sums.reshape((weights.shape[0],) + prods.shape[1:])
 
 
+def _mean_sums(mu, table):
+    """Sum ``mu`` against the complex ``table`` over its index axis.
+
+    ``mu`` is either the complex means mu_a + i mu_b, one complex product,
+    or the real rows (mu_a, mu_b), one real matmul over the interleaved real
+    and imaginary parts of the table.  The rows give sum mu_a f and sum mu_b f,
+    from which the sums of both mu and conj(mu) follow with no complex product.
+    """
+    if np.iscomplexobj(mu):
+        return mu @ table
+    return (mu @ np.ascontiguousarray(table).view(np.float64)).view(np.complex128)
+
+
 def _product_forms(var_a, var_b, mu, basis, points):
     """Return (forms, cross, mean_sums) at ``points`` from value/derivative products.
 
     The general route: ``forms`` holds y1, y2, y3, d3 and ``cross`` d1, d2,
-    reduced by ``_weighted_sums`` per block; ``mean_sums`` holds E(S) = mu @ f
-    and m = mu @ f' for the complex means ``mu``, or is None without them.
+    reduced by ``_weighted_sums`` per block; ``mean_sums`` holds the sums of
+    ``mu`` (see ``_mean_sums``) against f and against f', E(S) = mu @ f and
+    m = mu @ f' for complex means, or is None without them.
     """
     weights = np.stack((var_a, var_b))
     forms = np.empty((4, points.size))
     cross = np.empty((2, points.size), dtype=np.complex128)
-    mean_sums = None if mu is None else np.empty((2, points.size), dtype=np.complex128)
+    mean_sums = None if mu is None else np.empty(
+        (2,) + mu.shape[:-1] + (points.size,), dtype=np.complex128)
     for block, vals, derivs in _basis_blocks(basis, points):
         a, b = _weighted_sums(weights, vals, derivs)
         a_uu, a_vv, a_uv, a_up, a_vq, a_uq, a_vp, a_pp = a
@@ -217,7 +249,7 @@ def _product_forms(var_a, var_b, mu, basis, points):
         forms[:, block] = a_uu + b_vv, a_uv - b_uv, b_uu + a_vv, a_pp + b_pp
         cross[:, block] = (a_up + b_vq) + 1j * (a_uq - b_vp), (b_up + a_vq) + 1j * (b_uq - a_vp)
         if mu is not None:
-            mean_sums[:, block] = mu @ vals, mu @ derivs
+            mean_sums[..., block] = _mean_sums(mu, vals), _mean_sums(mu, derivs)
     return forms, cross, mean_sums
 
 
@@ -253,12 +285,13 @@ def _power_forms(var_a, var_b, mu, basis, points):
     cross_weights[0] = a - b
     cross_weights[1, :-1] = j * (a[1:] - b[1:])
     if mu is not None:
-        mu_deriv = np.zeros(n, dtype=np.complex128)
-        mu_deriv[:-1] = j * mu[1:]
+        mu_deriv = np.zeros_like(mu)
+        mu_deriv[..., :-1] = j * mu[..., 1:]
     # Interleaved like the squares: (u^2 sum, v^2 sum) per point.
     square_sums = np.empty((5, 2 * points.size))
     cross_sums = np.empty((2, points.size))
-    mean_sums = None if mu is None else np.empty((2, points.size), dtype=np.complex128)
+    mean_sums = None if mu is None else np.empty(
+        (2,) + mu.shape[:-1] + (points.size,), dtype=np.complex128)
     for block, vals, _ in _basis_blocks(basis, points, _POWER_BLOCK_TERMS, derivatives=False):
         pairs = slice(2 * block.start, 2 * block.stop)
         np.matmul(square_weights, np.square(vals.view(np.float64)), out=square_sums[:, pairs])
@@ -267,7 +300,7 @@ def _power_forms(var_a, var_b, mu, basis, points):
             # Two vector products, not one (2, n) complex matmul: the matmul
             # was no faster (general_mean_density on 7200 points, one BLAS
             # thread: equal within 1% at N = 2 and 10, 3% slower at N = 40).
-            mean_sums[:, block] = mu @ vals, mu_deriv @ vals
+            mean_sums[..., block] = _mean_sums(mu, vals), _mean_sums(mu_deriv, vals)
     (a_u, a_v), (b_u, b_v), (d_u, d_v), (ja_u, ja_v), (jb_u, jb_v) = (
         square_sums.reshape(5, -1, 2).transpose(0, 2, 1)
     )
@@ -292,7 +325,8 @@ def _basis_forms(var_a, var_b, mu, basis, points):
     route is handed the plain powers.  Every other basis takes
     ``_product_forms``.  The arguments are arrays, not a
     ``CoefficientProfile``: a zero weight folds into a zero variance.
-    ``mu`` is None when the mean sums are not wanted.
+    ``mu`` is None when the mean sums are not wanted, the complex means, or
+    the real rows (mu_a, mu_b) of ``_mean_sums``.
     """
     if not isinstance(basis, MonomialBasis):
         return _product_forms(var_a, var_b, mu, basis, points)
@@ -308,8 +342,23 @@ def _basis_forms(var_a, var_b, mu, basis, points):
 def _covariance_parts(profile, basis, z, means: bool = False):
     """Plain quadratic forms at z: y1, y2, y3, det, d0, d1, d2, d3.
 
-    With ``means`` also ex1, ex2 and m of the mean field.  ``_basis_forms``
-    picks the route over blocks of points from ``_basis_blocks``:
+    With ``means`` also ex1, ex2 and m of the mean field.
+    """
+    mu = profile.mu_a + 1j * profile.mu_b if means else None
+    forms, mean_sums = _quadratic_forms(profile, basis, z, mu)
+    if not means:
+        return forms
+    ex, m = mean_sums
+    return (*forms, ex.real, ex.imag, m)
+
+
+def _quadratic_forms(profile, basis, z, mu):
+    """Return ((y1, y2, y3, det, d0, d1, d2, d3), mean_sums) at z.
+
+    ``mean_sums`` is None without ``mu``, else the sums of ``mu`` (complex
+    means, or the real rows of ``_mean_sums``) against f and f', shaped
+    like z after their leading axes.  ``_basis_forms`` picks the route over
+    blocks of points from ``_basis_blocks``:
 
     - ``_power_forms`` for ``MonomialBasis`` and ``WeightedMonomialBasis``
       (weights folded into the variances and means): the squares and cross
@@ -330,7 +379,6 @@ def _covariance_parts(profile, basis, z, means: bool = False):
     relative floor; the density is undefined there.
     """
     z = np.asarray(z, dtype=np.complex128)
-    mu = profile.mu_a + 1j * profile.mu_b if means else None
     forms, cross, mean_sums = _basis_forms(profile.var_a, profile.var_b, mu, basis, z.reshape(-1))
     y1, y2, y3, d3 = (form.reshape(z.shape) for form in forms)
     d1, d2 = cross.reshape((2,) + z.shape)
@@ -340,10 +388,9 @@ def _covariance_parts(profile, basis, z, means: bool = False):
             "covariance of (Re S, Im S) is numerically singular at an evaluation point"
         )
     d0 = np.sqrt(det)
-    if not means:
-        return y1, y2, y3, det, d0, d1, d2, d3
-    ex, m = mean_sums.reshape((2,) + z.shape)
-    return y1, y2, y3, det, d0, d1, d2, d3, ex.real, ex.imag, m
+    if mean_sums is not None:
+        mean_sums = mean_sums.reshape(mean_sums.shape[:-1] + z.shape)
+    return (y1, y2, y3, det, d0, d1, d2, d3), mean_sums
 
 
 def _zero_mean_h(y1, y2, y3, det, d0, d1, d2, d3, k1, k2):
@@ -395,11 +442,15 @@ def _general_mean_h(y1, y2, y3, det, d0, d1, d2, d3, kt1, kt2, m):
 # ---------------------------------------------------------------------------
 
 
-def zero_mean_density(profile: CoefficientProfile, basis: BasisFamily, level, z) -> DensityParts:
+def zero_mean_density(
+    profile: CoefficientProfile, basis: BasisFamily, level, z, mirror: bool = False
+) -> DensityParts:
     """Density for zero-mean coefficients with per-index variances.
 
     Requires ``profile.has_zero_means``; use ``general_mean_density`` for
-    coefficients with drift.
+    coefficients with drift.  With ``mirror`` the record's h is the
+    conjugate-pair mean (h(z) + h(conj z)) / 2, formed as the mean of h at
+    K and at conj K on the one set of forms at z (see the module notes).
     """
     _check_sizes(profile, basis)
     if not profile.has_zero_means:
@@ -407,8 +458,10 @@ def zero_mean_density(profile: CoefficientProfile, basis: BasisFamily, level, z)
             "zero_mean_density requires a zero-mean profile; use general_mean_density"
         )
     level = as_level(level)
-    y1, y2, y3, det, d0, d1, d2, d3 = _covariance_parts(profile, basis, z)
-    h = _zero_mean_h(y1, y2, y3, det, d0, d1, d2, d3, level.k1, level.k2)
+    y1, y2, y3, det, d0, d1, d2, d3 = forms = _covariance_parts(profile, basis, z)
+    h = _zero_mean_h(*forms, level.k1, level.k2)
+    if mirror and level.k2 != 0.0:
+        h = 0.5 * (h + _zero_mean_h(*forms, level.k1, -level.k2))
     return DensityParts(y1=y1, y2=y2, y3=y3, d0=d0, d1=d1, d2=d2, d3=d3, h=h)
 
 
@@ -438,7 +491,9 @@ def equal_variance_density(sigma2: float, basis: BasisFamily, level, z) -> Equal
     return EqualVarianceParts(b0=b0, b1=b1, b2=b2, sigma2=float(sigma2), h=h)
 
 
-def general_mean_density(profile: CoefficientProfile, basis: BasisFamily, level, z) -> DensityPartsGeneral:
+def general_mean_density(
+    profile: CoefficientProfile, basis: BasisFamily, level, z, mirror: bool = False
+) -> DensityPartsGeneral:
     """Density for arbitrary per-index means and variances.
 
     The field (Re S, Im S) keeps the zero-mean covariance (means do not enter
@@ -451,13 +506,31 @@ def general_mean_density(profile: CoefficientProfile, basis: BasisFamily, level,
 
     multiplied by the Gaussian density of S at K.  With all means zero this
     reduces exactly to ``zero_mean_density``.
+
+    With ``mirror`` the record's h is the conjugate-pair mean
+    (h(z) + h(conj z)) / 2, the mean of h for (mu, K) and for
+    (conj mu, conj K) on the one set of forms at z; the mean sums of both
+    laws come from the real rows mu_a and mu_b.  ex1, ex2 and m stay those
+    of mu.
     """
     _check_sizes(profile, basis)
     level = as_level(level)
-    y1, y2, y3, det, d0, d1, d2, d3, ex1, ex2, m = _covariance_parts(
-        profile, basis, z, means=True
-    )
-    h = _general_mean_h(y1, y2, y3, det, d0, d1, d2, d3, level.k1 - ex1, level.k2 - ex2, m)
+    mirror = mirror and (level.k2 != 0.0 or np.any(profile.mu_b))
+    if mirror:
+        forms, ((ea, eb), (ma, mb)) = _quadratic_forms(
+            profile, basis, z, np.stack((profile.mu_a, profile.mu_b))
+        )
+        ex, m = ea + 1j * eb, ma + 1j * mb
+    else:
+        forms, (ex, m) = _quadratic_forms(profile, basis, z, profile.mu_a + 1j * profile.mu_b)
+    ex1, ex2 = ex.real, ex.imag
+    h = _general_mean_h(*forms, level.k1 - ex1, level.k2 - ex2, m)
+    if mirror:
+        # conj(mu) sums to ea - i eb against f and ma - i mb against f'; its level is conj K.
+        ex_c = ea - 1j * eb
+        h_c = _general_mean_h(*forms, level.k1 - ex_c.real, -level.k2 - ex_c.imag, ma - 1j * mb)
+        h = 0.5 * (h + h_c)
+    y1, y2, y3, det, d0, d1, d2, d3 = forms
     return DensityPartsGeneral(
         y1=y1, y2=y2, y3=y3, d0=d0, d1=d1, d2=d2, d3=d3, h=h, m=m, ex1=ex1, ex2=ex2,
     )

@@ -15,9 +15,10 @@ Before that, one half can hold nearly all of the error and the other meet
 its share; the four quarters then cost no more evaluations than the two
 halves and the two quarters of the worse half, only one cell more.  A cell
 that straddles a coordinate axis is only bisected.  A region symmetric
-about the origin is first cut on an axis, so its two halves are cells of
-the tree, and within each the refinement is what a run over that half
-alone makes of it (the CLI's point fold integrates one such half).  The
+about the origin is first cut on an axis, so its two halves (and, for a
+square, its four quadrants) are cells of the tree, and within each the
+refinement is what a run over that part alone makes of it (the CLI's point
+fold integrates one quadrant).  The
 integrand is smooth away from degenerate points, so per-cell convergence is
 spectral and the deterministic result is independent of the stochastic
 verification path.

@@ -283,6 +283,23 @@ class TestSymmetryFold:
     SQUARE20 = ["--x-min=-20", "--x-max=20", "--y-min=-20", "--y-max=20"]
     SQUARE2 = ["--x-min=-2", "--x-max=2", "--y-min=-2", "--y-max=2"]
     TOL = ["--abs-tol=1e-9", "--rel-tol=1e-9"]
+    # Regions symmetric about the real axis where the point fold does not
+    # apply (an odd-index mean, the prefix basis, an off-centre x range):
+    # the conjugate fold alone keeps y >= 0 and pairs h there.
+    PAIRED_HALVES = {
+        "odd-index-means": ["--degree", "4", "--mu-a", "0,0.5,0,0,0", *SQUARE2],
+        "brownian-prefix": ["--basis", "brownian-prefix", "--time-grid", "0.5,1.5,3.0", *SQUARE2],
+        "off-centre": ["--degree", "4", "--var-a", "1,2,1,0.5,1", "--x-min=-2", "--x-max=1.5",
+                       "--y-min=-2", "--y-max=2"],
+    }
+
+    @staticmethod
+    def quad_argv(k2, region, tol):
+        # Quad-n40-style problem at N = 10: zero means, per-index variances.
+        rng = np.random.default_rng(13)
+        return ["expect", "--degree", "10", f"--var-a={_floats(rng.uniform(0.5, 2.0, 11))}",
+                f"--var-b={_floats(rng.uniform(0.5, 2.0, 11))}", "--k1=1.0", f"--k2={k2}",
+                *region, *tol]
 
     @pytest.mark.parametrize("region, tol", [
         (SQUARE20, ["--abs-tol=1e-8", "--rel-tol=1e-8"]),
@@ -292,27 +309,46 @@ class TestSymmetryFold:
          ["--abs-tol=1e-8", "--rel-tol=1e-13"]),
     ], ids=["square", "wide-absolute-tolerance", "tall-absolute-tolerance"])
     def test_point_fold_reproduces_the_full_region(self, region, tol, monkeypatch, capsys):
-        # Quad-n40-style problem at N = 10: zero means, per-index variances.
-        rng = np.random.default_rng(13)
-        argv = ["expect", "--degree", "10", f"--var-a={_floats(rng.uniform(0.5, 2.0, 11))}",
-                f"--var-b={_floats(rng.uniform(0.5, 2.0, 11))}", "--k1=1.0", "--k2=0.5",
-                *region, *tol]
+        # K = 1 + 0.5i is not real, so h itself is not symmetric about the
+        # real axis: the quadrant integrates the conjugate-pair mean.
+        argv = self.quad_argv(0.5, region, tol)
         folded, points, full = folded_and_full(argv, monkeypatch)
+        config = cli.resolve_config(cli.build_parser().parse_args(argv))
+        assert cli._fundamental_region(*config.build())[1] == 4
         assert full.converged and folded.converged
-        assert abs(folded.value - full.value) <= 1e-15 * abs(full.value)
-        assert folded.cells_used == full.cells_used
-        assert points == folded.evaluations <= full.evaluations / 2 + 225
+        tolerance = max(config.abs_tol, config.rel_tol * abs(full.value))
+        assert abs(folded.value - full.value) <= tolerance
+        assert folded.error_estimate <= tolerance
+        # The half-plane point fold evaluated half the unfolded run's cells
+        # (0.50); the paired quadrant reads 0.19, 0.26 and 0.25 here.
+        assert points == folded.evaluations <= 0.3 * full.evaluations
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert json.loads(out)["value"] == folded.value
 
+    def test_quadrant_of_a_conjugate_invariant_law_mirrors_the_full_tree(self, monkeypatch):
+        # K real and zero means: the pair mean is h itself, and the quadrant
+        # of a square is a cell of the unfolded tree (a cell across an axis
+        # is only bisected), so the folded run refines it exactly as the
+        # unfolded run does: the unfolded run evaluates its root, its two
+        # halves and four quadrants that each mirror the folded run.
+        argv = self.quad_argv(0.0, self.SQUARE20, ["--abs-tol=1e-8", "--rel-tol=1e-8"])
+        folded, points, full = folded_and_full(argv, monkeypatch)
+        assert full.converged and folded.converged
+        assert abs(folded.value - full.value) <= 1e-15 * abs(full.value)
+        assert folded.cells_used == full.cells_used
+        assert points == folded.evaluations == (full.evaluations - 3 * 225) / 4
+
     @pytest.mark.parametrize("extra", [
-        ["--degree", "4", "--mu-a", "0,0.5,0,0,0", *SQUARE2],
-        ["--basis", "brownian-prefix", "--time-grid", "0.5,1.5,3.0", *SQUARE2],
+        ["--degree", "4", "--mu-a", "0,0.5,0,0,0", "--x-min=-2", "--x-max=2",
+         "--y-min=-1.5", "--y-max=2"],
+        ["--basis", "brownian-prefix", "--time-grid", "0.5,1.5,3.0", "--x-min=-2", "--x-max=2",
+         "--y-min=-2", "--y-max=1.5"],
         ["--degree", "4", "--var-a", "1,2,1,0.5,1", "--x-min=-2", "--x-max=1.5",
-         "--y-min=-2", "--y-max=2"],
+         "--y-min=-2", "--y-max=1.5"],
     ], ids=["odd-index-means", "brownian-prefix", "off-centre"])
     def test_no_fold_evaluates_the_full_region(self, extra, monkeypatch):
+        # y_min != -y_max: no fold applies, and the integrand is h itself.
         folded, points, full = folded_and_full(
             ["expect", "--k1=1.0", "--k2=0.5", *extra], monkeypatch)
         assert folded == full
@@ -325,7 +361,12 @@ class TestSymmetryFold:
         (["expect", "--basis", "brownian-prefix", "--time-grid", "0.5,1.5,3.0,3.5",
           "--k1", "0.4", *SQUARE2, *TOL], 2),
         (["expect", "--abs-tol=1e-10", "--rel-tol=1e-10"], 4),
-    ], ids=["theorem-4-conjugate", "theorem-5-conjugate", "quarter"])
+        *((["expect", "--k1=1.0", "--k2=0.5", *extra], 2) for extra in PAIRED_HALVES.values()),
+        (["expect", "--mu-a=0.3,-0.6,0.5", "--mu-b=-0.4,0.2,0.7", "--var-a=1.2,0.7,1.6",
+          "--var-b=0.9,1.8,0.6", "--k1=1.0", "--k2=0.5", *SQUARE20,
+          "--abs-tol=1e-8", "--rel-tol=1e-8"], 2),
+    ], ids=["theorem-4-conjugate", "theorem-5-conjugate", "quarter",
+            *(f"{name}-paired" for name in PAIRED_HALVES), "theorem-4-paired"])
     def test_conjugate_and_quarter_folds(self, argv, weight, monkeypatch):
         folded, points, full = folded_and_full(argv, monkeypatch)
         config = cli.resolve_config(cli.build_parser().parse_args(argv))
@@ -389,6 +430,30 @@ class TestFlagsAndConfigFiles:
             code, out, err = run_cli(["density", "--ny", "2", *argv], capsys)
             assert (code, out) == (2, "")
             assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["expect", "--degree", "100000000"], 2000),
+        (["expect", "--degree", "2001"], 2000),
+        (["expect", "--basis", "weighted-monomial", "--weights", ",".join(["1"] * 2002)], 2000),
+        (["mc", "--trials", "10000001"], 10**7),
+        (["density", "--nx", "1001", "--ny", "1000"], 10**6),
+    ])
+    def test_sizes_above_their_limits_exit_2_at_once(self, argv, limit, monkeypatch, capsys):
+        def built(config):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(RunConfig, "build", built)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert f"limit of {limit}" in err
+        assert f"at most {limit}" in cli.build_parser().format_help()
+
+    def test_sizes_at_their_limits_are_accepted(self, capsys):
+        assert resolve(["--degree", "2000", "--trials", "10000000", "--nx", "1000",
+                        "--ny", "1000"]).degree == 2000
+        code, out, _ = run_cli(["density", "--degree", "500", "--nx", "2", "--ny", "2"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 5
 
     @pytest.mark.parametrize("argv", [
         ["density", "--nx", "-2"],

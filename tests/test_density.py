@@ -291,6 +291,63 @@ class TestSymmetries:
             b = evaluate(profile, basis, 1 - 0.5j, z).h
             assert np.max(np.abs(a - b) / np.abs(b)) < 2e-10
 
+    @pytest.mark.parametrize("degree", [2, 10, 40])
+    def test_conjugation_with_imaginary_means(self, rng, degree):
+        # conj S(conj z) = sum conj(eta_j) f_j(z) on a basis real on the real
+        # axis, and conj(eta_j) has the means conj(mu_j) and the variances of
+        # eta_j: h for (mu, K) at conj z is h for (conj mu, conj K) at z.
+        # The fixture's draws read at most 4.2e-11 (N = 40).
+        n = degree + 1
+        z = 8.0 * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
+        weights = rng.uniform(0.25, 2.0, n)
+        for basis in (MonomialBasis(degree), WeightedMonomialBasis(weights)):
+            profile = random_mean_profile(rng, n)
+            conjugate = CoefficientProfile(profile.mu_a, profile.var_a, -profile.mu_b, profile.var_b)
+            a = general_mean_density(profile, basis, 1 + 0.5j, np.conj(z)).h
+            b = general_mean_density(conjugate, basis, 1 - 0.5j, z).h
+            assert np.max(np.abs(a - b) / np.abs(b)) < 2e-10
+
+    @staticmethod
+    def paired_cases(rng, degree):
+        """(evaluate, profile, basis) for theorems 2, 4 and 5 and the weighted basis."""
+        n = degree + 1
+        weights = rng.uniform(0.25, 2.0, n)
+        times = np.cumsum(rng.uniform(0.2, 1.0, n))
+        prefix, increments = build_brownian_basis(MonomialBasis(degree), TimeGrid(times))
+        return {
+            "theorem-2": (zero_mean_density, random_zero_mean_profile(rng, n), MonomialBasis(degree)),
+            "theorem-4": (general_mean_density, random_mean_profile(rng, n), MonomialBasis(degree)),
+            "theorem-5": (zero_mean_density, increments, prefix),
+            "weighted-2": (zero_mean_density, random_zero_mean_profile(rng, n),
+                           WeightedMonomialBasis(weights)),
+            "weighted-4": (general_mean_density, random_mean_profile(rng, n),
+                           WeightedMonomialBasis(weights)),
+        }
+
+    @pytest.mark.parametrize("degree", [2, 10, 40])
+    def test_mirrored_density_is_the_conjugate_pair_mean(self, rng, degree):
+        # The mirrored h reuses the forms at z for both terms; the direct
+        # pair evaluates h at z and at conj z.  They differ by half the
+        # rounding of the conjugation identity: the fixture's draws read at
+        # most 3.3e-11 (N = 40).
+        z = 8.0 * np.sqrt(rng.uniform(size=2000)) * np.exp(2j * np.pi * rng.uniform(size=2000))
+        for name, (evaluate, profile, basis) in self.paired_cases(rng, degree).items():
+            mirrored = evaluate(profile, basis, 1 + 0.5j, z, mirror=True).h
+            pair = 0.5 * (evaluate(profile, basis, 1 + 0.5j, z).h
+                          + evaluate(profile, basis, 1 + 0.5j, np.conj(z)).h)
+            assert np.max(np.abs(mirrored - pair) / np.abs(pair)) < 1e-10, name
+
+    @pytest.mark.parametrize("degree", [2, 10, 40])
+    def test_mirrored_density_of_a_conjugate_invariant_law_is_plain(self, rng, degree):
+        # mu_b = 0 and a real K: the law is its own conjugate, and the
+        # mirrored h is the plain h bit for bit.
+        z = 8.0 * np.sqrt(rng.uniform(size=500)) * np.exp(2j * np.pi * rng.uniform(size=500))
+        for name, (evaluate, profile, basis) in self.paired_cases(rng, degree).items():
+            real_means = CoefficientProfile(profile.mu_a, profile.var_a,
+                                            np.zeros(degree + 1), profile.var_b)
+            plain = evaluate(real_means, basis, 1.0, z).h
+            assert np.array_equal(evaluate(real_means, basis, 1.0, z, mirror=True).h, plain), name
+
     def test_rotational_symmetry_equal_variance_zero_level(self, rng):
         for _ in range(40):
             basis = MonomialBasis(int(rng.integers(2, 8)))
