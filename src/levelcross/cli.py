@@ -379,11 +379,21 @@ def cmd_density(config: RunConfig, out_path: str | None) -> int:
 
 
 def _quadrature_record(result: QuadratureResult) -> dict:
-    """JSON fields of a quadrature result, as ``expect`` and ``compare`` write them."""
+    """JSON fields of a quadrature result, as ``expect`` and ``compare`` write them.
+
+    ``diagnostics`` says how the result was obtained: the cells over the
+    whole region, and the refinement passes and integrand evaluations that
+    actually ran (see ``_integrate_region``).
+    """
     return {
         "value": result.value,
         "error_estimate": result.error_estimate,
         "converged": result.converged,
+        "diagnostics": {
+            "cells_used": result.cells_used,
+            "passes": result.passes,
+            "evaluations": result.evaluations,
+        },
     }
 
 
@@ -419,6 +429,12 @@ def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Recta
       symmetric about 0, hence also about the real axis, and the pair mean
       keeps the point symmetry: the quadrant x >= 0, y >= 0 carries a
       quarter of the integral.
+
+    The kept quadrant is a cell of the quadrature's tree over ``region``,
+    whatever the region's shape: a cell centred on an axis is cut on it, x
+    first, and only bisected.  So is the kept half y >= 0 when
+    ``x_min != -x_max``.  Where the pair mean is h itself, the folded run
+    then refines its part exactly as the unfolded run refines each copy.
     """
     x0, x1, y0, y1 = region.x_min, region.x_max, region.y_min, region.y_max
     conjugate = y0 == -y1

@@ -4,28 +4,33 @@ Tensor-product Gauss-Kronrod cells: the 7-point Gauss rule embedded in the
 15-point Kronrod extension supplies the error reference at no extra function
 evaluations.  Refinement stops once the summed error of all cells is within
 the tolerance (the global rule of QUADPACK and DCUHRE); until then, every
-cell whose error exceeds an equal share of the tolerance is split along its
-longer axis.  A cell whose error exceeds ``DOUBLE_SPLIT_FACTOR = 2**15``
-times its share is split twice in the same pass, into the four quarters of
-two successive longer-axis bisections, and its halves are never evaluated.
+cell whose error exceeds an equal share of the tolerance is bisected.  The
+cut goes across the axis with the larger one-axis error, as in DCUHRE
+(Berntsen, Espelid & Genz, 1991): the same 225 node values give the Kronrod
+result minus Gauss applied in x only, and minus Gauss applied in y only.  A
+tie goes to the longer axis.  The density varies on a scale of 1/N across
+the ring |z| = 1 and smoothly along it, so cutting the smooth direction
+wastes cells.  A cell whose error exceeds ``DOUBLE_SPLIT_FACTOR = 2**15``
+times its share is split twice in the same pass: after that first cut, each
+half is bisected across its longer axis, and the halves are never evaluated.
 The factor is an asymptotic heuristic: once a cell is resolved, halving one
 side cuts the 7-point Gauss error (degree 13, so O(h^14)) by about 2^14 and
 halving the area by another 2, so neither half would fall within its share.
 Before that, one half can hold nearly all of the error and the other meet
 its share; the four quarters then cost no more evaluations than the two
 halves and the two quarters of the worse half, only one cell more.  A cell
-that straddles a coordinate axis is only bisected.  A region symmetric
-about the origin is first cut on an axis, so its two halves (and, for a
-square, its four quadrants) are cells of the tree, and within each the
+that straddles a coordinate axis is only bisected, and a cell centred on an
+axis (``x0 == -x1`` or ``y0 == -y1``) is cut on it, x first.  So a region
+centred on the origin has its halves x <= 0 and x >= 0 and its four
+quadrants as cells of the tree, whatever its shape, and within each the
 refinement is what a run over that part alone makes of it (the CLI's point
-fold integrates one quadrant).  The
-integrand is smooth away from degenerate points, so per-cell convergence is
-spectral and the deterministic result is independent of the stochastic
-verification path.
+fold integrates one quadrant).  The integrand is smooth away from degenerate
+points, so per-cell convergence is spectral and the deterministic result is
+independent of the stochastic verification path.
 
 The driver works one refinement pass at a time.  The cells are rows of
-arrays (corners, values, errors) kept in spatial order; a pass splits every
-cell over its share and evaluates all the new cells together,
+arrays (corners, values, errors, split axes) kept in spatial order; a pass
+splits every cell over its share and evaluates all the new cells together,
 ``CELLS_PER_CALL`` cells per evaluator call, their 15x15 node grids stacked
 along axis 0.  The evaluator contract is therefore: pointwise, any 2-D
 complex grid in, real values of the same shape out.  A pass of one cell
@@ -80,6 +85,14 @@ GAUSS_INDEX = np.arange(1, 15, 2)
 GAUSS_WEIGHTS = np.concatenate([_WG_POS, [_WG_CENTER], _WG_POS[::-1]])
 _NODES = len(KRONROD_NODES)
 
+# Both 1-D rules as rows over the 15 nodes, Gauss with zeros off its subset:
+# _RULES @ cell @ _RULES.T holds the four tensor rules of a (15, 15) cell,
+# [[Kronrod, Kronrod in x and Gauss in y], [Gauss in x and Kronrod in y,
+# Gauss]], in two contractions.
+_RULES = np.zeros((2, _NODES))
+_RULES[0] = KRONROD_WEIGHTS
+_RULES[1, GAUSS_INDEX] = GAUSS_WEIGHTS
+
 # Cells per evaluator call: their node grids are stacked into one
 # (15 * CELLS_PER_CALL, 15) grid, so the per-call cost of the evaluator is
 # paid once per block of cells rather than once per cell.
@@ -110,15 +123,19 @@ class QuadratureResult:
     evaluations: int = 0
 
 
-def _evaluate_cells(evaluator: Callable, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and |Kronrod - Gauss| errors of the cells ``boxes``.
+def _evaluate_cells(
+    evaluator: Callable, boxes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kronrod values, |Kronrod - Gauss| errors and split axes of ``boxes``.
 
     ``boxes`` holds one ``(x0, x1, y0, y1)`` row per cell.  Up to
     ``CELLS_PER_CALL`` cells go to the evaluator in one call, their 15x15
-    node grids stacked along axis 0.
+    node grids stacked along axis 0.  The third array is True where a cell
+    is to be cut across x; it compares the one-axis errors, the Kronrod
+    result minus Gauss applied in x only and minus Gauss applied in y only
+    (see ``_split_across_x``).
     """
-    values = np.empty(len(boxes))
-    errors = np.empty(len(boxes))
+    rules = np.empty((len(boxes), 2, 2))
     for start in range(0, len(boxes), CELLS_PER_CALL):
         block = slice(start, start + CELLS_PER_CALL)
         x0, x1, y0, y1 = boxes[block].T
@@ -131,20 +148,39 @@ def _evaluate_cells(evaluator: Callable, boxes: np.ndarray) -> tuple[np.ndarray,
         if nodes.shape != grid.shape:
             raise ConfigurationError("evaluator must return one real value per grid point")
         nodes = nodes.reshape(-1, _NODES, _NODES)
-        scale = hx * hy
-        kronrod = scale * ((KRONROD_WEIGHTS @ nodes) @ KRONROD_WEIGHTS)
-        gauss_nodes = nodes[:, GAUSS_INDEX][:, :, GAUSS_INDEX]
-        gauss = scale * ((GAUSS_WEIGHTS @ gauss_nodes) @ GAUSS_WEIGHTS)
-        values[block] = kronrod
-        errors[block] = np.abs(kronrod - gauss)
-    return values, errors
+        rules[block] = (hx * hy)[:, None, None] * ((_RULES @ nodes) @ _RULES.T)
+    # |Kronrod - rule|: [[0, Gauss in y only], [Gauss in x only, Gauss]].
+    errors = np.abs(rules - rules[:, :1, :1])
+    return rules[:, 0, 0], errors[:, 1, 1], _split_across_x(boxes, errors[:, 1, 0], errors[:, 0, 1])
 
 
-def _children(boxes: np.ndarray) -> np.ndarray:
-    """Bisect each cell along its longer axis; the two halves follow each other."""
+def _longer_x(boxes: np.ndarray) -> np.ndarray:
+    """True where a cell is at least as wide as it is tall."""
+    return (boxes[:, 1] - boxes[:, 0]) >= (boxes[:, 3] - boxes[:, 2])
+
+
+def _split_across_x(boxes: np.ndarray, x_errors: np.ndarray, y_errors: np.ndarray) -> np.ndarray:
+    """True where a cell is to be cut across x, False across y.
+
+    A cell centred on an axis (``x0 == -x1``, else ``y0 == -y1``) is cut on
+    that axis.  Any other cell is cut across the axis with the larger error
+    estimate, and across its longer axis on a tie.
+    """
+    x0, x1, y0, y1 = boxes.T
+    by_error = (x_errors > y_errors) | ((x_errors == y_errors) & _longer_x(boxes))
+    return (x0 == -x1) | ((y0 != -y1) & by_error)
+
+
+def _children(boxes: np.ndarray, across_x: np.ndarray) -> np.ndarray:
+    """Bisect each cell across x where ``across_x`` holds, else across y.
+
+    The driver passes the axis with the larger one-axis error (see
+    ``_split_across_x``) for a cell's first cut, and the longer axis for
+    the second cut of a double split.  The two halves of a cell follow each
+    other.
+    """
     low, high = boxes.copy(), boxes.copy()
-    wide = (boxes[:, 1] - boxes[:, 0]) >= (boxes[:, 3] - boxes[:, 2])
-    for axis, rows in ((0, wide), (2, ~wide)):
+    for axis, rows in ((0, across_x), (2, ~across_x)):
         mid = 0.5 * (boxes[rows, axis] + boxes[rows, axis + 1])
         low[rows, axis + 1] = high[rows, axis] = mid
     return np.stack([low, high], axis=1).reshape(-1, 4)
@@ -152,7 +188,7 @@ def _children(boxes: np.ndarray) -> np.ndarray:
 
 def _merge(kept: np.ndarray, children: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Interleave kept cells and children; ``slots`` marks the children's places."""
-    out = np.empty((len(slots),) + kept.shape[1:])
+    out = np.empty((len(slots),) + kept.shape[1:], dtype=kept.dtype)
     out[~slots] = kept
     out[slots] = children
     return out
@@ -182,6 +218,12 @@ def integrate_density(
     two extra cells of each fit within ``max_cells``; a cell that straddles
     the real or the imaginary axis is only bisected, so that the halves of
     a region symmetric about the origin refine as they would alone.
+    Each cell keeps, next to its value and error, the axis to cut it
+    across: the one whose one-axis error (Kronrod minus Gauss in that
+    axis only) is larger, the longer one on a tie, and for a cell centred
+    on an axis that axis, x first, so that a centred region's quadrants
+    are cells of the tree.  The second cut of a double split goes across
+    the longer axis of each half.
     Reaching ``max_cells`` returns the best estimate with
     ``converged=False`` rather than raising, and so does a non-finite cell
     value or error (the evaluator overflowed somewhere in the region):
@@ -196,7 +238,7 @@ def integrate_density(
     if max_cells < 1:
         raise ConfigurationError("max_cells must be at least 1")
     boxes = np.array([[region.x_min, region.x_max, region.y_min, region.y_max]], dtype=np.float64)
-    values, errors = _evaluate_cells(evaluator, boxes)
+    values, errors, across_x = _evaluate_cells(evaluator, boxes)
     passes, evaluated = 0, 1
     while True:
         cells = len(boxes)
@@ -232,15 +274,17 @@ def integrate_density(
         double = np.zeros(cells, dtype=bool)
         double[far] = True
         # Each split cell is replaced in place by its two halves, and each
-        # double-split one by the two halves of each half.
-        halves = _children(boxes[split])
+        # double-split one by the two halves of each half, cut across its
+        # longer axis.
+        halves = _children(boxes[split], across_x[split])
         again = np.repeat(double[split], 2)
-        children = _merge(halves[~again], _children(halves[again]), np.repeat(again, 1 + again))
-        child_values, child_errors = _evaluate_cells(evaluator, children)
+        quarters = _children(halves[again], _longer_x(halves[again]))
+        children = _merge(halves[~again], quarters, np.repeat(again, 1 + again))
+        evaluated_children = _evaluate_cells(evaluator, children)
         slots = np.repeat(split, 1 + split + 2 * double)
-        boxes, values, errors = (
+        boxes, values, errors, across_x = (
             _merge(old[~split], new, slots)
-            for old, new in ((boxes, children), (values, child_values), (errors, child_errors))
+            for old, new in zip((boxes, values, errors, across_x), (children, *evaluated_children))
         )
         passes += 1
         evaluated += len(children)

@@ -139,9 +139,12 @@ class TestScalarCommands:
         )
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"value", "error_estimate", "converged"}
+        assert set(payload) == {"value", "error_estimate", "converged", "diagnostics"}
         assert payload["converged"] is True
         assert abs(payload["value"] - 1.142127071) < 1e-6
+        diagnostics = payload["diagnostics"]
+        assert set(diagnostics) == {"cells_used", "passes", "evaluations"}
+        assert diagnostics["evaluations"] % 225 == 0 and diagnostics["evaluations"] > 0
 
     def test_mc_schema(self, capsys):
         code, out, _ = run_cli(
@@ -159,6 +162,7 @@ class TestScalarCommands:
         )
         payload = json.loads(out)
         assert set(payload) == {"quadrature", "mc", "z_score", "agree"}
+        assert set(payload["quadrature"]) == {"value", "error_estimate", "converged", "diagnostics"}
         assert payload["agree"] is True
         assert code == 0
 
@@ -180,7 +184,7 @@ class TestScalarCommands:
              "--rel-tol", "1e-12"], capsys
         )
         payload = json.loads(out)
-        assert set(payload) == {"value", "error_estimate", "converged"}
+        assert set(payload) == {"value", "error_estimate", "converged", "diagnostics"}
         assert payload["converged"] is False
         assert code == 6
 
@@ -206,7 +210,9 @@ class TestScalarCommands:
         code, out, _ = run_cli(["expect", "--degree", "2"], capsys)
         assert code == 6
         payload = json.loads(out, parse_constant=reject)
-        assert payload == {"value": None, "error_estimate": None, "converged": False}
+        # The stub's one cell, scaled by the quadrant fold's weight 4.
+        assert payload == {"value": None, "error_estimate": None, "converged": False,
+                           "diagnostics": {"cells_used": 4, "passes": 0, "evaluations": 0}}
 
         code, out, _ = run_cli(["compare", "--degree", "2", "--trials", "400"], capsys)
         assert code == 2
@@ -326,13 +332,19 @@ class TestSymmetryFold:
         assert code == 0
         assert json.loads(out)["value"] == folded.value
 
-    def test_quadrant_of_a_conjugate_invariant_law_mirrors_the_full_tree(self, monkeypatch):
+    @pytest.mark.parametrize("region", [
+        SQUARE20,
+        ["--x-min=-20", "--x-max=20", "--y-min=-6", "--y-max=6"],
+        ["--x-min=-3", "--x-max=3", "--y-min=-8", "--y-max=8"],
+    ], ids=["square", "wide", "tall"])
+    def test_quadrant_of_a_conjugate_invariant_law_mirrors_the_full_tree(self, region, monkeypatch):
         # K real and zero means: the pair mean is h itself, and the quadrant
-        # of a square is a cell of the unfolded tree (a cell across an axis
-        # is only bisected), so the folded run refines it exactly as the
-        # unfolded run does: the unfolded run evaluates its root, its two
-        # halves and four quadrants that each mirror the folded run.
-        argv = self.quad_argv(0.0, self.SQUARE20, ["--abs-tol=1e-8", "--rel-tol=1e-8"])
+        # of a centred region is a cell of the unfolded tree (a cell centred
+        # on an axis is cut on it, x first, and only bisected), so the
+        # folded run refines it exactly as the unfolded run does: the
+        # unfolded run evaluates its root, its two halves and four quadrants
+        # that each mirror the folded run.
+        argv = self.quad_argv(0.0, region, ["--abs-tol=1e-8", "--rel-tol=1e-8"])
         folded, points, full = folded_and_full(argv, monkeypatch)
         assert full.converged and folded.converged
         assert abs(folded.value - full.value) <= 1e-15 * abs(full.value)

@@ -200,7 +200,7 @@ class TestPassBatching:
     @pytest.mark.parametrize("integrand, region, tol, max_cells, cells, value", [
         # Truncated by max_cells: the worst cells are split first.
         (lambda z: 1.0 / (1e-6 + (z.real - 0.3) ** 2 + (z.imag + 0.1) ** 2),
-         Rectangle(-1.0, 1.0, -1.0, 1.0), 1e-12, 77, 77, 62.389334111908965),
+         Rectangle(-1.0, 1.0, -1.0, 1.0), 1e-12, 77, 77, 49.92833043169685),
         # Integer bounds: midpoints must not truncate.
         (lambda z: np.exp(-4 * np.abs(z - (0.5 + 0.25j)) ** 2) * (1 + z.real**2),
          Rectangle(-3, 2, -1, 2), 1e-11, 20000, 52, 1.0796562386577573),
@@ -213,9 +213,36 @@ class TestPassBatching:
         assert result.converged == (cells < max_cells)
         assert abs(result.value - value) <= 1e-13 * abs(value)
 
+    @pytest.mark.parametrize("integrand, region, across_x, centres", [
+        # Varies only in x, over a tall cell: cut across x, the shorter axis.
+        (lambda z: np.exp(-40.0 * (z.real - 1.3) ** 2), Rectangle(1, 2, 1, 5), True,
+         [1.25 + 3j, 1.75 + 3j]),
+        # Varies only in y, over a wide cell: cut across y.
+        (lambda z: np.exp(-40.0 * (z.imag - 1.3) ** 2), Rectangle(1, 5, 1, 2), False,
+         [3 + 1.25j, 3 + 1.75j]),
+        # Both axis errors exactly 0, over a wide cell: cut across the longer
+        # axis.  The cell is within any tolerance, so no pass follows.
+        (lambda z: np.zeros(z.shape), Rectangle(1, 5, 1, 2), True, []),
+    ], ids=["x-only-tall", "y-only-wide", "tie-wide"])
+    def test_split_follows_the_larger_axis_error(self, integrand, region, across_x, centres):
+        box = np.array([[region.x_min, region.x_max, region.y_min, region.y_max]])
+        assert quadrature._evaluate_cells(integrand, box)[2].tolist() == [across_x]
+        calls = []
+
+        def f(z):
+            calls.append(z.copy())
+            return integrand(z)
+
+        # Two cells leave no room for a double split: the first pass
+        # evaluates the root's two halves.
+        integrate_density(f, region, 1e-12, 1e-12, max_cells=2)
+        first_pass = [c.reshape(-1, 15, 15).mean(axis=(1, 2)) for c in calls[1:]]
+        np.testing.assert_allclose(np.concatenate([[], *first_pass]), centres, atol=1e-15)
+
     @pytest.mark.parametrize("region, centres", [
-        # Off the axes: the four quarters of two longer-axis bisections, in
-        # spatial order, and never the two halves.
+        # Off the axes: the four quarters, in spatial order, of a cut across
+        # the axis with the larger error (x here) and of each half across its
+        # longer axis, and never the two halves.
         (Rectangle(0, 2, 0, 2), [0.5 + 0.5j, 0.5 + 1.5j, 1.5 + 0.5j, 1.5 + 1.5j]),
         # Across both axes: only bisected, so the halves x < 0 and x > 0 are
         # cells of the tree.
