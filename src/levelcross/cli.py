@@ -378,12 +378,13 @@ def cmd_density(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _quadrature_record(result: QuadratureResult) -> dict:
+def _quadrature_record(result: QuadratureResult, fold_weight: int) -> dict:
     """JSON fields of a quadrature result, as ``expect`` and ``compare`` write them.
 
     ``diagnostics`` says how the result was obtained: the cells over the
-    whole region, and the refinement passes and integrand evaluations that
-    actually ran (see ``_integrate_region``).
+    whole region and how many of them are not finite, the refinement passes
+    and integrand evaluations that actually ran, and the fold weight, the
+    number of copies of the kept part (see ``_integrate_region``).
     """
     return {
         "value": result.value,
@@ -393,6 +394,8 @@ def _quadrature_record(result: QuadratureResult) -> dict:
             "cells_used": result.cells_used,
             "passes": result.passes,
             "evaluations": result.evaluations,
+            "fold_weight": fold_weight,
+            "nonfinite_cells": result.nonfinite_cells,
         },
     }
 
@@ -452,7 +455,7 @@ def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Recta
     return region, 1
 
 
-def _integrate_region(config: RunConfig, model) -> QuadratureResult:
+def _integrate_region(config: RunConfig, model) -> tuple[QuadratureResult, int]:
     """Integrate h over the region, as ``expect`` and ``compare`` report it.
 
     The integrand over the fundamental region of ``_fundamental_region`` is
@@ -464,10 +467,10 @@ def _integrate_region(config: RunConfig, model) -> QuadratureResult:
     bit for bit.  The run uses ``abs_tol / weight``, the same ``rel_tol``
     and ``max_cells // weight``, so a cell's share of the tolerance reads as
     it would over the whole region.  The value, error estimate and cell
-    count are scaled back by the weight, while ``evaluations`` and
+    counts are scaled back by the weight, while ``evaluations`` and
     ``passes`` are those actually run.  A cell budget below the weight
     integrates h over the whole region.  ``model`` is what
-    ``config.build()`` returned.
+    ``config.build()`` returned.  Returns the result and the weight.
     """
     part, weight = _fundamental_region(*model)
     if config.max_cells < weight:
@@ -483,13 +486,14 @@ def _integrate_region(config: RunConfig, model) -> QuadratureResult:
         value=weight * result.value,
         error_estimate=weight * result.error_estimate,
         cells_used=weight * result.cells_used,
-    )
+        nonfinite_cells=weight * result.nonfinite_cells,
+    ), weight
 
 
 def cmd_expect(config: RunConfig, out_path: str | None) -> int:
     """Integrate h over the region; exit 6 when the quadrature did not converge."""
-    result = _integrate_region(config, config.build())
-    _json_dump(_quadrature_record(result), out_path)
+    result, weight = _integrate_region(config, config.build())
+    _json_dump(_quadrature_record(result, weight), out_path)
     return 0 if result.converged else 6
 
 
@@ -507,7 +511,7 @@ def cmd_compare(config: RunConfig, out_path: str | None) -> int:
     error estimate.
     """
     model = config.build()
-    quad = _integrate_region(config, model)
+    quad, weight = _integrate_region(config, model)
     mc = estimate_expected_count(*model, trials=config.trials, seed=config.seed)
     diff = quad.value - mc.mean
     # Degenerate CI (all counts identical) has no finite z-score; report null.
@@ -519,7 +523,7 @@ def cmd_compare(config: RunConfig, out_path: str | None) -> int:
     )
     _json_dump(
         {
-            "quadrature": _quadrature_record(quad),
+            "quadrature": _quadrature_record(quad, weight),
             "mc": _mc_record(mc),
             "z_score": None if z_score is None else float(z_score),
             "agree": bool(agree),

@@ -29,12 +29,14 @@ points, so per-cell convergence is spectral and the deterministic result is
 independent of the stochastic verification path.
 
 The driver works one refinement pass at a time.  The cells are rows of
-arrays (corners, values, errors, split axes) kept in spatial order; a pass
-splits every cell over its share and evaluates all the new cells together,
-``CELLS_PER_CALL`` cells per evaluator call, their 15x15 node grids stacked
-along axis 0.  The evaluator contract is therefore: pointwise, any 2-D
-complex grid in, real values of the same shape out.  A pass of one cell
-hands it one (15, 15) grid.
+arrays (corners, values, errors, split axes): a split cell's first child
+takes its row, and the others are appended.  The totals are ``math.fsum``
+sums, which are correctly rounded, so the row order cannot change the value
+or the error estimate; it only breaks ties when the cell budget truncates a
+pass.  A pass evaluates all its new cells together, ``CELLS_PER_CALL`` cells
+per evaluator call, their 15x15 node grids stacked along axis 0.  The
+evaluator contract is therefore: pointwise, any 2-D complex grid in, real
+values of the same shape out.  A pass of one cell hands it one (15, 15) grid.
 """
 
 from __future__ import annotations
@@ -111,8 +113,9 @@ class QuadratureResult:
     ``error_estimate`` is the sum of the cells' ``|Kronrod - Gauss|``
     errors; when ``converged`` it is at most
     ``max(abs_tol, rel_tol * |value|)``.  ``passes`` counts the refinement
-    passes after the first cell, and ``evaluations`` the integrand points
-    evaluated (225 per cell evaluated).
+    passes after the first cell, ``evaluations`` the integrand points
+    evaluated (225 per cell evaluated), and ``nonfinite_cells`` the final
+    cells whose value or error is not finite.
     """
 
     value: float
@@ -121,6 +124,7 @@ class QuadratureResult:
     converged: bool
     passes: int = 0
     evaluations: int = 0
+    nonfinite_cells: int = 0
 
 
 def _evaluate_cells(
@@ -128,70 +132,67 @@ def _evaluate_cells(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kronrod values, |Kronrod - Gauss| errors and split axes of ``boxes``.
 
-    ``boxes`` holds one ``(x0, x1, y0, y1)`` row per cell.  Up to
-    ``CELLS_PER_CALL`` cells go to the evaluator in one call, their 15x15
-    node grids stacked along axis 0.  The third array is True where a cell
-    is to be cut across x; it compares the one-axis errors, the Kronrod
-    result minus Gauss applied in x only and minus Gauss applied in y only
-    (see ``_split_across_x``).
+    ``boxes`` holds one ``(x0, x1, y0, y1)`` row per cell.  The node grids
+    of all the cells are built in one broadcast and go to the evaluator
+    ``CELLS_PER_CALL`` cells at a time.  The third array is True where a
+    cell is to be cut across x: a cell centred on an axis (``x0 == -x1``,
+    else ``y0 == -y1``) is cut on that axis, any other across the axis with
+    the larger one-axis error (Kronrod minus Gauss applied in that axis
+    only), and across its longer axis on a tie.
     """
-    rules = np.empty((len(boxes), 2, 2))
-    for start in range(0, len(boxes), CELLS_PER_CALL):
-        block = slice(start, start + CELLS_PER_CALL)
-        x0, x1, y0, y1 = boxes[block].T
-        hx = 0.5 * (x1 - x0)
-        hy = 0.5 * (y1 - y0)
-        xs = (0.5 * (x0 + x1))[:, None] + hx[:, None] * KRONROD_NODES
-        ys = (0.5 * (y0 + y1))[:, None] + hy[:, None] * KRONROD_NODES
-        grid = (xs[:, :, None] + 1j * ys[:, None, :]).reshape(-1, _NODES)
-        nodes = np.asarray(evaluator(grid), dtype=np.float64)
-        if nodes.shape != grid.shape:
+    low, high = boxes[:, ::2], boxes[:, 1::2]  # (x0, y0) and (x1, y1)
+    sums, half = low + high, 0.5 * (high - low)
+    axes = (0.5 * sums)[:, :, None] + half[:, :, None] * KRONROD_NODES
+    grid = np.empty((len(boxes), _NODES, _NODES), dtype=np.complex128)
+    grid.real = axes[:, 0, :, None]
+    grid.imag = axes[:, 1, None, :]
+    grid = grid.reshape(-1, _NODES)
+    nodes = np.empty(grid.shape)
+    for start in range(0, len(grid), _NODES * CELLS_PER_CALL):
+        block = grid[start:start + _NODES * CELLS_PER_CALL]
+        values = np.asarray(evaluator(block), dtype=np.float64)
+        if values.shape != block.shape:
             raise ConfigurationError("evaluator must return one real value per grid point")
-        nodes = nodes.reshape(-1, _NODES, _NODES)
-        rules[block] = (hx * hy)[:, None, None] * ((_RULES @ nodes) @ _RULES.T)
+        nodes[start:start + len(block)] = values
+    nodes = nodes.reshape(-1, _NODES, _NODES)
+    rules = (half[:, 0] * half[:, 1])[:, None, None] * ((_RULES @ nodes) @ _RULES.T)
     # |Kronrod - rule|: [[0, Gauss in y only], [Gauss in x only, Gauss]].
     errors = np.abs(rules - rules[:, :1, :1])
-    return rules[:, 0, 0], errors[:, 1, 1], _split_across_x(boxes, errors[:, 1, 0], errors[:, 0, 1])
+    x_errors, y_errors = errors[:, 1, 0], errors[:, 0, 1]
+    by_error = (x_errors > y_errors) | ((x_errors == y_errors) & (half[:, 0] >= half[:, 1]))
+    centred = sums == 0.0
+    return rules[:, 0, 0], errors[:, 1, 1], centred[:, 0] | (~centred[:, 1] & by_error)
 
 
-def _longer_x(boxes: np.ndarray) -> np.ndarray:
-    """True where a cell is at least as wide as it is tall."""
-    return (boxes[:, 1] - boxes[:, 0]) >= (boxes[:, 3] - boxes[:, 2])
+# _CUTS[across_x][half] marks the bound a bisection moves to the midpoint:
+# the cut axis's upper bound in the low half, its lower bound in the high half.
+_CUTS = np.array([[[0, 0, 0, 1], [0, 0, 1, 0]], [[0, 1, 0, 0], [1, 0, 0, 0]]], dtype=bool)
 
 
-def _split_across_x(boxes: np.ndarray, x_errors: np.ndarray, y_errors: np.ndarray) -> np.ndarray:
-    """True where a cell is to be cut across x, False across y.
+def _halves(boxes: np.ndarray, across_x: np.ndarray) -> np.ndarray:
+    """``(cells, 2, 4)``: the low and high half of each cell, cut across x where ``across_x``."""
+    mids = (0.5 * (boxes[:, ::2] + boxes[:, 1::2])).repeat(2, axis=1)
+    return np.where(_CUTS[across_x.astype(np.intp)], mids[:, None], boxes[:, None])
 
-    A cell centred on an axis (``x0 == -x1``, else ``y0 == -y1``) is cut on
-    that axis.  Any other cell is cut across the axis with the larger error
-    estimate, and across its longer axis on a tie.
+
+def _split(boxes: np.ndarray, across_x: np.ndarray, double: np.ndarray) -> np.ndarray:
+    """The children of ``boxes``: first the first child of each cell, then the others.
+
+    Each cell is bisected across x where ``across_x`` holds, else across y.
+    The cells at the indices ``double`` have each half bisected again across
+    its longer axis, and their four quarters as children.  A cell's children
+    come in spatial order.
     """
-    x0, x1, y0, y1 = boxes.T
-    by_error = (x_errors > y_errors) | ((x_errors == y_errors) & _longer_x(boxes))
-    return (x0 == -x1) | ((y0 != -y1) & by_error)
-
-
-def _children(boxes: np.ndarray, across_x: np.ndarray) -> np.ndarray:
-    """Bisect each cell across x where ``across_x`` holds, else across y.
-
-    The driver passes the axis with the larger one-axis error (see
-    ``_split_across_x``) for a cell's first cut, and the longer axis for
-    the second cut of a double split.  The two halves of a cell follow each
-    other.
-    """
-    low, high = boxes.copy(), boxes.copy()
-    for axis, rows in ((0, across_x), (2, ~across_x)):
-        mid = 0.5 * (boxes[rows, axis] + boxes[rows, axis + 1])
-        low[rows, axis + 1] = high[rows, axis] = mid
-    return np.stack([low, high], axis=1).reshape(-1, 4)
-
-
-def _merge(kept: np.ndarray, children: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Interleave kept cells and children; ``slots`` marks the children's places."""
-    out = np.empty((len(slots),) + kept.shape[1:], dtype=kept.dtype)
-    out[~slots] = kept
-    out[slots] = children
-    return out
+    halves = _halves(boxes, across_x)
+    if not len(double):
+        return halves.transpose(1, 0, 2).reshape(-1, 4)
+    pairs = halves[double].reshape(-1, 4)
+    quarters = _halves(pairs, (pairs[:, 1] - pairs[:, 0]) >= (pairs[:, 3] - pairs[:, 2]))
+    quarters = quarters.reshape(-1, 4, 4)
+    halves[double, 0] = quarters[:, 0]
+    bisected = np.ones(len(boxes), dtype=bool)
+    bisected[double] = False
+    return np.concatenate((halves[:, 0], halves[bisected, 1], quarters[:, 1:].reshape(-1, 4)))
 
 
 def integrate_density(
@@ -210,28 +211,25 @@ def integrate_density(
     is within ``tolerance = max(abs_tol, rel_tol * |current total|)``, so
     the returned ``error_estimate`` is within that tolerance.  Until then,
     each pass bisects every cell whose error exceeds ``tolerance / cells``,
-    or the worst ``max_cells - cells`` of them (a stable sort on descending
-    error), and evaluates all the new cells together; should rounding leave
-    no cell over its share, the worst cell is split.  Of the split cells,
-    those whose error exceeds ``DOUBLE_SPLIT_FACTOR * tolerance / cells``
-    are split into their four quarters instead, worst first, as long as the
-    two extra cells of each fit within ``max_cells``; a cell that straddles
-    the real or the imaginary axis is only bisected, so that the halves of
-    a region symmetric about the origin refine as they would alone.
-    Each cell keeps, next to its value and error, the axis to cut it
-    across: the one whose one-axis error (Kronrod minus Gauss in that
-    axis only) is larger, the longer one on a tie, and for a cell centred
-    on an axis that axis, x first, so that a centred region's quadrants
-    are cells of the tree.  The second cut of a double split goes across
-    the longer axis of each half.
+    or the worst ``max_cells - cells`` of them, and evaluates all the new
+    cells together; should rounding leave no cell over its share, the
+    worst cell is split.  Of the split cells, those whose error exceeds
+    ``DOUBLE_SPLIT_FACTOR * tolerance / cells`` are split into their four
+    quarters instead, worst first, as long as the two extra cells of each
+    fit within ``max_cells``; a cell that straddles the real or the
+    imaginary axis is only bisected, so that the halves of a region
+    symmetric about the origin refine as they would alone.  "Worst" is a
+    stable sort on descending error, ties in row order (see the module
+    docstring).  The first cut of a cell goes across the axis that
+    ``_evaluate_cells`` chose, the second cut of a double split across the
+    longer axis of each half.
     Reaching ``max_cells`` returns the best estimate with
     ``converged=False`` rather than raising, and so does a non-finite cell
     value or error (the evaluator overflowed somewhere in the region):
-    refining cannot repair it.  Evaluator exceptions (e.g. degenerate
-    points inside the region) propagate to the caller.
-
-    The final reduction sums cell contributions in fixed spatial list order,
-    so the result does not depend on evaluation scheduling.
+    refining cannot repair it, and ``nonfinite_cells`` counts such cells.
+    Evaluator exceptions (e.g. degenerate points inside the region)
+    propagate to the caller.  The totals are ``math.fsum`` sums, so the
+    row order cannot change the value or the error estimate.
     """
     if not (abs_tol > 0.0 and rel_tol > 0.0):  # NaN fails this test too
         raise ConfigurationError("tolerances must be positive")
@@ -243,11 +241,16 @@ def integrate_density(
     while True:
         cells = len(boxes)
         stats = dict(passes=passes, evaluations=_NODES * _NODES * evaluated)
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(errors))):
-            # Plain sums: math.fsum raises on inf - inf.
-            return QuadratureResult(sum(values.tolist()), sum(errors.tolist()), cells, False, **stats)
-        total = math.fsum(values)
-        error = math.fsum(errors)
+        # math.fsum returns a non-finite total, or raises, exactly when a cell
+        # is not finite or a partial sum overflows.
+        try:
+            total, error = math.fsum(values.tolist()), math.fsum(errors.tolist())
+        except (OverflowError, ValueError):  # a total past the range, or inf - inf
+            total = error = math.inf
+        if not (math.isfinite(total) and math.isfinite(error)):
+            nonfinite = int(np.count_nonzero(~(np.isfinite(values) & np.isfinite(errors))))
+            return QuadratureResult(sum(values.tolist()), sum(errors.tolist()), cells, False,
+                                    nonfinite_cells=nonfinite, **stats)
         tolerance = max(abs_tol, rel_tol * abs(total))
         if error <= tolerance:
             return QuadratureResult(total, error, cells, True, **stats)
@@ -255,36 +258,31 @@ def integrate_density(
         if room <= 0:
             return QuadratureResult(total, error, cells, False, **stats)
         share = tolerance / cells
-        offenders = np.flatnonzero(errors > share)
+        offenders = (errors > share).nonzero()[0]
         if not len(offenders):
             # Rounding can put every cell at its share while the sum is over.
             offenders = np.argmax(errors, keepdims=True)
-        split = np.zeros(cells, dtype=bool)
         if len(offenders) > room:
             offenders = offenders[np.argsort(-errors[offenders], kind="stable")[:room]]
-        split[offenders] = True
         # A double split adds two cells more than a bisection; the worst
         # cells far over their share get one while the budget has room.
         # Cells across an axis are only bisected, so that a region symmetric
         # about the origin is cut on the axis and its halves are tree cells.
-        x0, x1, y0, y1 = boxes[offenders].T
-        across = ((x0 < 0.0) & (x1 > 0.0)) | ((y0 < 0.0) & (y1 > 0.0))
-        far = offenders[(errors[offenders] > DOUBLE_SPLIT_FACTOR * share) & ~across]
-        far = far[np.argsort(-errors[far], kind="stable")[:(room - len(offenders)) // 2]]
-        double = np.zeros(cells, dtype=bool)
-        double[far] = True
-        # Each split cell is replaced in place by its two halves, and each
-        # double-split one by the two halves of each half, cut across its
-        # longer axis.
-        halves = _children(boxes[split], across_x[split])
-        again = np.repeat(double[split], 2)
-        quarters = _children(halves[again], _longer_x(halves[again]))
-        children = _merge(halves[~again], quarters, np.repeat(again, 1 + again))
-        evaluated_children = _evaluate_cells(evaluator, children)
-        slots = np.repeat(split, 1 + split + 2 * double)
+        parents, worst = boxes[offenders], errors[offenders]
+        spare = (room - len(offenders)) // 2
+        far = (worst > DOUBLE_SPLIT_FACTOR * share).nonzero()[0] if spare else ()
+        if len(far):
+            corners = parents[far]
+            far = far[~((corners[:, ::2] < 0.0) & (corners[:, 1::2] > 0.0)).any(axis=1)]
+            far = far[np.argsort(-worst[far], kind="stable")[:spare]]
+        # Each split cell's first child takes its row; the others are appended.
+        children = _split(parents, across_x[offenders], far)
+        rows = (boxes, values, errors, across_x)
+        new_rows = (children, *_evaluate_cells(evaluator, children))
+        for old, new in zip(rows, new_rows):
+            old[offenders] = new[:len(offenders)]
         boxes, values, errors, across_x = (
-            _merge(old[~split], new, slots)
-            for old, new in zip((boxes, values, errors, across_x), (children, *evaluated_children))
+            np.concatenate((old, new[len(offenders):])) for old, new in zip(rows, new_rows)
         )
         passes += 1
         evaluated += len(children)

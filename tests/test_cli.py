@@ -143,8 +143,10 @@ class TestScalarCommands:
         assert payload["converged"] is True
         assert abs(payload["value"] - 1.142127071) < 1e-6
         diagnostics = payload["diagnostics"]
-        assert set(diagnostics) == {"cells_used", "passes", "evaluations"}
+        assert set(diagnostics) == {"cells_used", "passes", "evaluations", "fold_weight",
+                                    "nonfinite_cells"}
         assert diagnostics["evaluations"] % 225 == 0 and diagnostics["evaluations"] > 0
+        assert diagnostics["fold_weight"] == 4 and diagnostics["nonfinite_cells"] == 0
 
     def test_mc_schema(self, capsys):
         code, out, _ = run_cli(
@@ -199,6 +201,21 @@ class TestScalarCommands:
         assert payload["converged"] is True
         assert abs(payload["value"] - 80.0) < 1e-2
 
+    def test_overflow_is_reported_in_diagnostics(self, capsys):
+        # Theorem 2 overflows over [-20, 20]^2 at degree 80: the kept quadrant's
+        # one cell is not finite, and so are its three mirror images.
+        with np.errstate(all="ignore"):
+            code, out, _ = run_cli(
+                ["expect", "--degree", "80", "--theorem", "2", "--x-min=-20", "--x-max=20",
+                 "--y-min=-20", "--y-max=20"], capsys
+            )
+        assert code == 6
+        payload = json.loads(out)
+        assert payload["converged"] is False and payload["value"] is None
+        diagnostics = payload["diagnostics"]
+        assert diagnostics["fold_weight"] == 4
+        assert 0 < diagnostics["nonfinite_cells"] <= diagnostics["cells_used"]
+
     def test_non_finite_numbers_are_written_as_null(self, capsys, monkeypatch):
         # Strict JSON (RFC 8259) has no NaN or Infinity literal.
         def reject(token):
@@ -212,7 +229,8 @@ class TestScalarCommands:
         payload = json.loads(out, parse_constant=reject)
         # The stub's one cell, scaled by the quadrant fold's weight 4.
         assert payload == {"value": None, "error_estimate": None, "converged": False,
-                           "diagnostics": {"cells_used": 4, "passes": 0, "evaluations": 0}}
+                           "diagnostics": {"cells_used": 4, "passes": 0, "evaluations": 0,
+                                           "fold_weight": 4, "nonfinite_cells": 0}}
 
         code, out, _ = run_cli(["compare", "--degree", "2", "--trials", "400"], capsys)
         assert code == 2
@@ -278,7 +296,7 @@ def folded_and_full(argv, monkeypatch):
 
     monkeypatch.setattr(cli, "integrate_density", counting)
     model = config.build()
-    folded = cli._integrate_region(config, model)
+    folded, _ = cli._integrate_region(config, model)
     field, _ = config.density_field(model)
     full = integrate_density(field, model[3], abs_tol=config.abs_tol,
                              rel_tol=config.rel_tol, max_cells=config.max_cells)

@@ -1,11 +1,14 @@
 """Adaptive Gauss-Kronrod integration over rectangles."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from levelcross import (
     CoefficientProfile,
+    ComplexLevel,
     ConfigurationError,
     MonomialBasis,
     Rectangle,
@@ -20,14 +23,24 @@ UNIT_SQUARE = Rectangle(0.0, 1.0, 0.0, 1.0)
 
 
 def integrate_density(evaluator, region, abs_tol, rel_tol, *args, **kwargs):
-    """``quadrature.integrate_density``, checking the stopping contract.
+    """``quadrature.integrate_density``, checking the contract of every result.
 
-    Every converged result must have its summed error estimate within
-    ``max(abs_tol, rel_tol * |value|)``.
+    A converged result has its summed error estimate within
+    ``max(abs_tol, rel_tol * |value|)`` and no non-finite cell.  Every result
+    counts 225 evaluations per cell evaluated, at most the
+    ``225 * (2 * cells_used - 1)`` of bisections alone, and keeps within
+    ``max_cells``.
     """
-    result = quadrature.integrate_density(evaluator, region, abs_tol, rel_tol, *args, **kwargs)
+    call = inspect.signature(quadrature.integrate_density).bind(
+        evaluator, region, abs_tol, rel_tol, *args, **kwargs)
+    call.apply_defaults()
+    result = quadrature.integrate_density(*call.args, **call.kwargs)
     if result.converged:
         assert result.error_estimate <= max(abs_tol, rel_tol * abs(result.value))
+        assert result.nonfinite_cells == 0
+    assert result.evaluations % 225 == 0
+    assert result.evaluations <= 225 * (2 * result.cells_used - 1)
+    assert result.cells_used <= call.arguments["max_cells"]
     return result
 
 
@@ -197,21 +210,31 @@ class TestPassBatching:
         result = integrate_density(lambda z: np.ones_like(z.real), UNIT_SQUARE, 1e-14, 1e-14)
         assert (result.passes, result.evaluations) == (0, 225)
 
-    @pytest.mark.parametrize("integrand, region, tol, max_cells, cells, value", [
+    @pytest.mark.parametrize("integrand, region, tols, max_cells, pinned, value_rtol", [
         # Truncated by max_cells: the worst cells are split first.
         (lambda z: 1.0 / (1e-6 + (z.real - 0.3) ** 2 + (z.imag + 0.1) ** 2),
-         Rectangle(-1.0, 1.0, -1.0, 1.0), 1e-12, 77, 77, 49.92833043169685),
+         Rectangle(-1.0, 1.0, -1.0, 1.0), (1e-12, 1e-12), 77,
+         dict(cells_used=77, value=49.92833043169685), 1e-13),
         # Integer bounds: midpoints must not truncate.
         (lambda z: np.exp(-4 * np.abs(z - (0.5 + 0.25j)) ** 2) * (1 + z.real**2),
-         Rectangle(-3, 2, -1, 2), 1e-11, 20000, 52, 1.0796562386577573),
-    ], ids=["truncated", "integer-bounds"])
-    def test_refinement_is_pinned(self, integrand, region, tol, max_cells, cells, value):
+         Rectangle(-3, 2, -1, 2), (1e-11, 1e-11), 20000,
+         dict(cells_used=52, value=1.0796562386577573), 1e-13),
+        # The conjugate-pair mean at N = 2 with means over the kept half of
+        # [-20, 20]^2, as ``expect`` runs it on a ``quad-n2-mean`` operation:
+        # pinned bit for bit, error estimate and counts included.
+        (lambda z: general_mean_density(*_N2_MEAN_MODEL, z, mirror=True).h,
+         Rectangle(-20, 20, 0, 20), (5e-9, 1e-8), 20000,
+         dict(cells_used=32, value=0.9982053400137164, error_estimate=1.430116834363112e-09,
+              passes=7, evaluations=10575), 0.0),
+    ], ids=["truncated", "integer-bounds", "n2-mean-half"])
+    def test_refinement_is_pinned(self, integrand, region, tols, max_cells, pinned, value_rtol):
         # Pinned numbers: which cells are refined is a fixed function of the
         # integrand, the region and the tolerances.
-        result = integrate_density(integrand, region, tol, tol, max_cells)
-        assert result.cells_used == cells
-        assert result.converged == (cells < max_cells)
-        assert abs(result.value - value) <= 1e-13 * abs(value)
+        result = integrate_density(integrand, region, *tols, max_cells)
+        assert result.converged == (pinned["cells_used"] < max_cells)
+        assert abs(result.value - pinned["value"]) <= value_rtol * abs(pinned["value"])
+        counts = {name: want for name, want in pinned.items() if name != "value"}
+        assert {name: getattr(result, name) for name in counts} == counts
 
     @pytest.mark.parametrize("integrand, region, across_x, centres", [
         # Varies only in x, over a tall cell: cut across x, the shorter axis.
@@ -262,6 +285,28 @@ class TestPassBatching:
         first_pass = calls[1].reshape(-1, 15, 15).mean(axis=(1, 2))
         np.testing.assert_allclose(first_pass, centres, atol=1e-15)
 
+    def test_several_cells_split_in_one_pass(self):
+        # The root is across the imaginary axis, so it is only bisected.  In
+        # the next pass the half x < 0, over its share through a smooth ridge,
+        # is bisected across x, and the half x > 0, far over its share
+        # through a sharp peak, is split into four.  Each cell's children
+        # are evaluated in spatial order, its first child first.
+        calls = []
+
+        def f(z):
+            calls.append(z.copy())
+            ridge = np.exp(-40.0 * (z.real + 0.5) ** 2)
+            return 1.0 / (1e-4 + np.abs(z - (0.6 + 1.1j)) ** 2) + ridge
+
+        result = integrate_density(f, Rectangle(-1, 1, 0.5, 1.5), 1e-4, 1e-12, max_cells=6)
+        assert (result.cells_used, result.passes, result.evaluations) == (6, 2, 225 * 9)
+        second_pass = calls[2].reshape(-1, 15, 15).mean(axis=(1, 2))
+        left = second_pass[second_pass.real < 0]
+        right = second_pass[second_pass.real > 0]
+        np.testing.assert_allclose(left, [-0.75 + 1j, -0.25 + 1j], atol=1e-15)
+        np.testing.assert_allclose(right, [0.25 + 0.75j, 0.25 + 1.25j, 0.75 + 0.75j, 0.75 + 1.25j],
+                                   atol=1e-15)
+
     def test_cell_budget_holds_under_double_splits(self):
         # A double split adds three cells; it is granted only where the
         # budget has room for it, so no budget is overshot.
@@ -287,6 +332,17 @@ class TestPassBatching:
             assert result.converged
             outcomes.add((result.cells_used, result.passes, result.value))
         assert len(outcomes) == 1
+
+
+def _n2_mean_model():
+    """Profile, basis and level of operation 0 of ``quad-n2-mean`` at seed 1."""
+    rng = np.random.default_rng([1, 0])
+    var_a, var_b = rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3)
+    mu_a, mu_b = rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)
+    return CoefficientProfile(mu_a, var_a, mu_b, var_b), MonomialBasis(2), ComplexLevel(1.0, 0.5)
+
+
+_N2_MEAN_MODEL = _n2_mean_model()
 
 
 def _count_over_square(degree: int, with_means: bool):
