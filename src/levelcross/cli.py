@@ -401,7 +401,11 @@ def _quadrature_record(result: QuadratureResult, fold_weight: int) -> dict:
 
 
 def _mc_record(estimate: MCEstimate) -> dict:
-    """JSON fields of a Monte Carlo estimate, as ``mc`` and ``compare`` write them."""
+    """JSON fields of a Monte Carlo estimate, as ``mc`` and ``compare`` write them.
+
+    ``diagnostics`` names the counter that ran and the trials that the roots
+    counter left to companion eigenvalues.
+    """
     return {
         "trials": estimate.trials,
         "mean": estimate.mean,
@@ -409,6 +413,10 @@ def _mc_record(estimate: MCEstimate) -> dict:
         "ci_low": estimate.ci_low,
         "ci_high": estimate.ci_high,
         "discarded": estimate.discarded_trials,
+        "diagnostics": {
+            "method": estimate.method,
+            "fallback_trials": estimate.fallback_trials,
+        },
     }
 
 

@@ -1,22 +1,31 @@
 """Monte Carlo zero counting: the stochastic side of the verification.
 
 Each trial draws the coefficients, counts the zeros of S_N(z) - K inside the
-region with an argument-principle (winding number) counter, and aggregates a
-confidence interval for the expected count.  For polynomial bases a
-companion-matrix eigenvalue counter provides both a faster default and an
-independent second oracle.
+region, and the trials aggregate to a confidence interval for the expected
+count.  Three counters exist.  The winding counter applies the argument
+principle along the boundary and works for every basis.  For polynomial
+bases the companion counter counts the eigenvalues of companion matrices;
+it is the independent second oracle.  The default for polynomial bases is
+the certified roots counter: Aberth-Ehrlich iteration finds every root of a
+block of polynomials at once, and Smith's inclusion disks prove that each
+disk holds exactly one root and lies more than 2e-9 from the boundary, so
+the count of centres inside the region is exact.  Trials that the
+certificate leaves (clusters, multiple roots, roots near the boundary,
+non-finite values) go to the companion counter, so an estimate equals the
+companion counter's unless an eigenvalue is off by more than 1e-9.
 
-Both counters work through one driver, in blocks of at most
-``_BLOCK_ENTRIES`` companion matrix entries (trials x degree^2).  Each block
-draws its own rows of the keyed random grid and counts them with the chosen
-counter: the companion counter maps them to polynomial coefficients and
-counts the eigenvalues of their matrices, the winding counter traverses the
-boundary once per row.  Memory therefore stays bounded at any trial count and
-degree.  The blocks run on a thread pool of one thread per CPU the process
-may use; ``np.linalg.eigvals`` and the large ufuncs release the GIL, while
-the winding counter runs mostly in Python under it.  Block results are
-concatenated in trial order before the one reduction, so an estimate is
-bit-for-bit the same whatever the block size or the number of threads.
+All counters work through one driver.  Each block draws its own rows of
+the keyed random grid and counts them: the roots counter takes blocks of at
+most ``_BLOCK_ROOTS`` roots (trials x degree), and builds the companion
+matrices of the rows it leaves in chunks of at most ``_BLOCK_ENTRIES``
+entries; the companion and winding counters take blocks of at most
+``_BLOCK_ENTRIES`` companion matrix entries (trials x degree^2).  Memory
+therefore stays bounded at any trial count and degree.  The blocks run on a
+thread pool of one thread per CPU the process may use; ``np.linalg.eigvals``
+and the large ufuncs release the GIL, while the winding counter runs mostly
+in Python under it.  Block results are concatenated in trial order before
+the one reduction, so an estimate is bit-for-bit the same whatever the block
+size or the number of threads.
 
 Trials whose zero set touches the region boundary cannot be counted reliably;
 they are discarded and reported (the zero set of a fixed draw meets the
@@ -67,6 +76,15 @@ _EIGEN_BOUNDARY_TOL = 1e-9
 # Companion-matrix entries (trials x degree^2) per block of Monte Carlo trials.
 _BLOCK_ENTRIES = 2**16
 
+# Root entries (trials x degree) per block of trials on the certified roots route.
+_BLOCK_ROOTS = 2**13
+
+# Aberth sweeps after which a row's roots go to the certificate as they stand.
+_ABERTH_SWEEPS = 60
+
+# Unit roundoff of float64.
+_U = 2.0**-53
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -74,6 +92,9 @@ class MCEstimate:
 
     ``mean`` and the 95% normal CI are computed over kept trials;
     ``discarded_trials`` counts boundary-hit trials excluded from them.
+    ``method`` names the counter that ran ("roots", "companion" or
+    "winding"), and ``fallback_trials`` counts the trials the roots counter
+    left to companion eigenvalues.
     """
 
     trials: int
@@ -82,6 +103,8 @@ class MCEstimate:
     ci_low: float
     ci_high: float
     discarded_trials: int
+    method: str = "companion"
+    fallback_trials: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +260,135 @@ def _companion_counts_batch(coeff_rows: np.ndarray, level, region: Rectangle):
 
 
 # ---------------------------------------------------------------------------
+# Certified roots counter
+# ---------------------------------------------------------------------------
+
+
+def _aberth_roots(c: np.ndarray) -> np.ndarray:
+    """Aberth-Ehrlich approximations of all roots of each row of ``c``.
+
+    ``c`` has shape (rows, n + 1), n >= 2 and c_n != 0; the result has shape
+    (n, rows), one root per line, so that per-row values broadcast along
+    contiguous lines.  Each row starts from n points on the circle whose
+    radius |c_0 / c_n|^(1/n) is the geometric mean of its root moduli, and
+    all its roots are corrected at once.  A row stops after
+    ``_ABERTH_SWEEPS`` sweeps, or once every correction is within sixteen
+    units of roundoff of its root or a root is no longer finite.
+    """
+    degree = c.shape[1] - 1
+    a = np.ascontiguousarray((c[:, :-1] / c[:, -1:]).T)
+    angles = 2.0 * np.pi * np.arange(degree) / degree + 0.7
+    z = np.exp(1j * angles)[:, None] * np.abs(a[0]) ** (1.0 / degree)
+    roots = np.empty_like(z)
+    active = np.arange(len(c))
+    for _ in range(_ABERTH_SWEEPS):
+        if active.size == 0:
+            break
+        p, dp = np.ones_like(z), np.zeros_like(z)
+        for k in range(degree - 1, -1, -1):
+            dp *= z
+            dp += p
+            p *= z
+            p += a[k]
+        newton = np.divide(p, dp, out=p)
+        # pull_i = sum over j != i of 1/(z_i - z_j), each pair formed once.
+        pull = np.zeros_like(z)
+        for j in range(degree - 1):
+            inverse = np.subtract(z[j + 1:], z[j], out=dp[j + 1:])
+            np.reciprocal(inverse, out=inverse)
+            pull[j + 1:] += inverse
+            pull[j] -= inverse.sum(axis=0)
+        # The Aberth correction newton / (1 - newton * pull), in place.
+        np.multiply(newton, pull, out=pull)
+        np.subtract(1.0, pull, out=pull)
+        step = np.divide(newton, pull, out=newton)
+        z -= step
+        done = np.all(np.abs(step) <= 16.0 * _U * np.abs(z), axis=0)
+        done |= ~np.all(np.isfinite(z), axis=0)
+        if done.any():
+            roots[:, active[done]] = z[:, done]
+            active, z, a = active[~done], z[:, ~done], a[:, ~done]
+    roots[:, active] = z
+    return roots
+
+
+def _certified_counts(c: np.ndarray, z: np.ndarray, region: Rectangle):
+    """Certify approximate roots ``z`` (n, rows) of the rows of ``c`` and count them.
+
+    Returns (certified, counts) per row.  Root i gets the inclusion disk of
+    radius n (|p(z_i)| + 8(n+1) u sum_k |c_k||z_i|^k) / (|c_n| prod_{j != i}
+    |z_i - z_j| (1 - 4nu)), the Horner value with its rounding bound; the
+    union of these disks holds every root, and a disk disjoint from the
+    others holds exactly one (B. T. Smith, J. ACM 17, 1970).  A row is
+    certified when its disks are pairwise disjoint and each lies more than
+    ``2 * _EIGEN_BOUNDARY_TOL`` from the region boundary; its count is then
+    the number of centres inside.  A NaN, an inf or a zero product leaves
+    its row uncertified.
+    """
+    degree = len(z)
+    c = np.ascontiguousarray(c.T)
+    abs_c, abs_z = np.abs(c), np.abs(z)
+    p = np.repeat(c[-1:], degree, axis=0)
+    bound = np.repeat(abs_c[-1:], degree, axis=0)
+    for k in range(degree - 1, -1, -1):
+        p *= z
+        p += c[k]
+        bound *= abs_z
+        bound += abs_c[k]
+    product, nearest = np.ones_like(abs_z), np.full_like(abs_z, np.inf)
+    for j in range(degree - 1):
+        dist = np.abs(z[j + 1:] - z[j])
+        product[j + 1:] *= dist
+        product[j] *= dist.prod(axis=0)
+        np.minimum(nearest[j + 1:], dist, out=nearest[j + 1:])
+        nearest[j] = np.minimum(nearest[j], dist.min(axis=0))
+    radius = degree * (np.abs(p) + 8 * (degree + 1) * _U * bound) / (
+        abs_c[-1] * product * (1.0 - 4 * degree * _U))
+    sound = np.isfinite(radius) & np.isfinite(product) & (product > 0)
+    # Disk i misses every other disk when its nearest centre lies beyond both
+    # its own radius and the row's largest one.
+    disjoint = nearest > radius + radius.max(axis=0)
+    clear = region.boundary_distance(z) > radius + 2 * _EIGEN_BOUNDARY_TOL
+    certified = np.all(sound & disjoint & clear, axis=0)
+    return certified, np.count_nonzero(region.contains(z), axis=0)
+
+
+def _root_counts_batch(coeff_rows: np.ndarray, level, region: Rectangle):
+    """Certified root counting for one coefficient row per trial.
+
+    Returns (counts, discard_mask, fallback), ``fallback`` being the number
+    of rows left to companion eigenvalues.  The roots of each
+    polynomial sum_j c_j z^j - K come from ``_aberth_roots`` and are counted
+    where ``_certified_counts`` certifies them; every other row, and every
+    row of degree 0 or 1 or with vanishing leading coefficient, goes through
+    ``_companion_counts_batch`` unchanged, in chunks of at most
+    ``_BLOCK_ENTRIES`` companion entries.  A certified root lies more than
+    1e-9 from the boundary, so the companion counter would keep its trial and
+    count it alike unless an eigenvalue is off by more than 1e-9.
+    """
+    level = as_level(level)
+    rows = np.asarray(coeff_rows, dtype=np.complex128)
+    degree = rows.shape[1] - 1
+    counts = np.zeros(len(rows), dtype=np.int64)
+    discard = np.zeros(len(rows), dtype=bool)
+    certified = np.zeros(len(rows), dtype=bool)
+    if degree >= 2:
+        c = rows.copy()
+        c[:, 0] -= level.value
+        tried = np.flatnonzero(c[:, -1] != 0)
+        with np.errstate(all="ignore"):
+            ok, found = _certified_counts(c[tried], _aberth_roots(c[tried]), region)
+        certified[tried[ok]] = True
+        counts[tried[ok]] = found[ok]
+    fallback = np.flatnonzero(~certified)
+    chunk = max(1, _BLOCK_ENTRIES // max(1, degree) ** 2)
+    for start in range(0, fallback.size, chunk):
+        part = fallback[start:start + chunk]
+        counts[part], discard[part] = _companion_counts_batch(rows[part], level, region)
+    return counts, discard, int(fallback.size)
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo aggregation
 # ---------------------------------------------------------------------------
 
@@ -295,10 +447,17 @@ def estimate_expected_count(
     Draws every a_j, b_j independently from the profile, counts zeros per
     trial, and returns the mean with a 95% normal confidence interval over
     kept trials.  ``method``: "companion" (polynomial bases only), "winding",
-    or "auto" (companion whenever the basis exposes polynomial coefficients).
+    or "auto".  Under "auto" a basis that exposes polynomial coefficients is
+    counted by the certified roots counter (``_root_counts_batch``), in
+    blocks of ``_BLOCK_ROOTS // degree`` trials; a trial whose Aberth roots
+    the inclusion-disk certificate does not cover is counted by companion
+    eigenvalues, under the same discard rules, and ``fallback_trials``
+    reports how many.  The estimate then equals the "companion" one unless
+    an eigenvalue is off by more than 1e-9.  Any other basis is counted by
+    the winding counter.  ``method`` on the result names the counter used.
 
     Each trial's randomness is a pure function of (seed, trial index), so the
-    estimate is reproducible regardless of scheduling; either counter counts
+    estimate is reproducible regardless of scheduling; every counter counts
     blocks of trials on several threads, and the one reduction runs in trial
     order.  Aborts with ``DiscardRateError`` when at least 1% of trials
     hit the boundary, which signals that the region boundary passes through a
@@ -313,20 +472,30 @@ def estimate_expected_count(
     if method == "companion" and not polynomial:
         raise ConfigurationError("companion counting needs a polynomial basis")
 
-    if polynomial and method != "winding":
+    degree = max(1, profile.size - 1)
+    if not polynomial or method == "winding":
+        counter, size = "winding", _BLOCK_ENTRIES // degree**2
+
         def count(eta):
-            return _companion_counts_batch(basis.polynomial_coefficients(eta), level, region)
+            return (*_winding_counts_batch(eta, basis, level, region), 0)
+    elif method == "companion":
+        counter, size = "companion", _BLOCK_ENTRIES // degree**2
+
+        def count(eta):
+            return (*_companion_counts_batch(basis.polynomial_coefficients(eta), level, region), 0)
     else:
+        counter, size = "roots", _BLOCK_ROOTS // degree
+
         def count(eta):
-            return _winding_counts_batch(eta, basis, level, region)
-    size = max(1, _BLOCK_ENTRIES // max(1, profile.size - 1) ** 2)
+            return _root_counts_batch(basis.polynomial_coefficients(eta), level, region)
+    size = max(1, size)
 
     def block(first):
         return count(_sample_coefficients(profile, min(size, trials - first), seed, first))
 
     parts = _map_blocks(block, range(0, trials, size))
-    counts = np.concatenate([c for c, _ in parts])
-    discard = np.concatenate([d for _, d in parts])
+    counts = np.concatenate([c for c, _, _ in parts])
+    discard = np.concatenate([d for _, d, _ in parts])
     discarded = int(np.count_nonzero(discard))
 
     if discarded / trials >= 0.01:
@@ -344,4 +513,6 @@ def estimate_expected_count(
         ci_low=mean - _Z95 * std_error,
         ci_high=mean + _Z95 * std_error,
         discarded_trials=discarded,
+        method=counter,
+        fallback_trials=sum(f for _, _, f in parts),
     )

@@ -154,7 +154,9 @@ class TestScalarCommands:
         )
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"trials", "mean", "std_error", "ci_low", "ci_high", "discarded"}
+        assert set(payload) == {"trials", "mean", "std_error", "ci_low", "ci_high", "discarded",
+                                "diagnostics"}
+        assert payload["diagnostics"] == {"method": "roots", "fallback_trials": 0}
         assert payload["trials"] == 400
         assert payload["ci_low"] <= payload["mean"] <= payload["ci_high"]
 
@@ -165,6 +167,10 @@ class TestScalarCommands:
         payload = json.loads(out)
         assert set(payload) == {"quadrature", "mc", "z_score", "agree"}
         assert set(payload["quadrature"]) == {"value", "error_estimate", "converged", "diagnostics"}
+        assert set(payload["mc"]) == {"trials", "mean", "std_error", "ci_low", "ci_high",
+                                      "discarded", "diagnostics"}
+        assert set(payload["mc"]["diagnostics"]) == {"method", "fallback_trials"}
+        assert payload["mc"]["diagnostics"]["method"] == "roots"
         assert payload["agree"] is True
         assert code == 0
 

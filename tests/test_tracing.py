@@ -3,7 +3,7 @@
 ``bench/tracing.py`` wraps package functions by module attribute name, so
 renaming or deleting one of them (``density.neumaier_sum``,
 ``density.diff_of_products``, ...) breaks traced benchmark runs.  This test
-installs the tracer, runs traced CLI operations and uninstalls it.
+installs the tracer, runs traced operations and uninstalls it.
 """
 
 import importlib.util
@@ -12,6 +12,7 @@ from pathlib import Path
 import levelcross.cli as cli
 import levelcross.density as density
 import levelcross.zerocount as zerocount
+from levelcross import CoefficientProfile, MonomialBasis, Rectangle
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -38,10 +39,16 @@ def test_tracer_installs_traces_and_uninstalls(capsys):
         expect = tracer.run_op(0, lambda: cli.main(
             ["expect", "--degree", "2", "--mu-a", "0.5", "--mu-b", "-0.25"]))
         mc = tracer.run_op(1, lambda: cli.main(["mc", "--degree", "2", "--trials", "200"]))
+        # ``mc`` counts on the certified roots route, which leaves no trial
+        # here to the eigenvalues; the companion counter still calls the
+        # wrapped ``np.linalg.eigvals``.
+        companion = tracer.run_op(2, lambda: zerocount.estimate_expected_count(
+            CoefficientProfile.iid(3), MonomialBasis(2), 0.5j, Rectangle(-1, 1, -1, 1),
+            trials=100, method="companion"))
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert (expect, mc) == (0, 0)
+    assert (expect, mc, companion.method) == (0, 0, "companion")
     assert all(getattr(owner, name) is original
                for (owner, name), original in zip(patched, originals))
 
@@ -49,7 +56,7 @@ def test_tracer_installs_traces_and_uninstalls(capsys):
     assert {"bench.op", "cli", "cli.config", "cli.output", "quadrature", "density",
             "numerics.dop", "model.basis", "zerocount", "rng", "zerocount.eig"} <= names
     assert tracer.counts["density.calls"] > 0
-    assert tracer.counts["zerocount.trials"] == 200
+    assert tracer.counts["zerocount.trials"] == 300
     # The general-mean density forms one determinant per call, and nothing
     # else on the CLI path forms one.
     dop_spans = sum(1 for span in tracer.spans if span[0] == "numerics.dop")

@@ -1,5 +1,6 @@
 """Winding and companion zero counters, and the Monte Carlo aggregator."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,81 @@ class TestCompanionCounter:
         np.testing.assert_allclose(mat, [[0.0, -3.0], [1.0, 2.5]])
 
 
+class TestRootsCounter:
+    """The certified roots route counts and discards each trial as the companion does."""
+
+    LEVEL = ComplexLevel(1.0, 0.5)
+    # The last region crosses the ring |z| ~ 1 where the roots gather.
+    REGIONS = [Rectangle(-1, 1, -1, 1), Rectangle(-2.5, 0.5, -3, 0.2), Rectangle(0, 1.5, -0.5, 1)]
+    PROFILES = {
+        "iid": lambda n: (CoefficientProfile.iid(n + 1), MonomialBasis(n)),
+        "means": lambda n: (CoefficientProfile(np.linspace(-1, 1, n + 1),
+                                               np.linspace(0.2, 3, n + 1),
+                                               np.linspace(0.5, -0.5, n + 1),
+                                               np.linspace(2, 0.05, n + 1)),
+                            MonomialBasis(n)),
+        "weighted": lambda n: (CoefficientProfile.iid(n + 1, var_a=0.5, var_b=2.0),
+                               WeightedMonomialBasis(1.0 / np.sqrt(np.arange(1, n + 2)))),
+    }
+
+    @staticmethod
+    def assert_counted_alike(rows, level, region):
+        counts, discard, fallback = zerocount._root_counts_batch(rows, level, region)
+        expected_counts, expected_discard = zerocount._companion_counts_batch(rows, level, region)
+        np.testing.assert_array_equal(counts, expected_counts)
+        np.testing.assert_array_equal(discard, expected_discard)
+        return fallback
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("degree", [1, 2, 3, 10, 40])
+    def test_seeded_blocks_match_companion(self, degree, profile):
+        model_profile, basis = self.PROFILES[profile](degree)
+        trials = 100 if degree == 40 else 400
+        eta = zerocount._sample_coefficients(model_profile, trials, 17 + degree)
+        rows = basis.polynomial_coefficients(eta)
+        for region in self.REGIONS:
+            fallback = self.assert_counted_alike(rows, self.LEVEL, region)
+            # Degree 1 is counted by its 1 x 1 companion matrix; from degree 2
+            # the certificate must take almost every row.
+            assert fallback == trials if degree == 1 else fallback <= trials // 50
+
+    @staticmethod
+    def planted(roots, rng, extra=6):
+        """Rows of the monic polynomials with the given roots plus random ones."""
+        rows = []
+        for planted_roots in roots:
+            others = rng.normal(size=extra) + 1j * rng.normal(size=extra)
+            rows.append(np.poly(np.concatenate([planted_roots, others]))[::-1])
+        return np.array(rows)
+
+    @pytest.mark.parametrize("gap", [1e-10, 1e-6, 1e-3])
+    def test_root_near_an_edge(self, gap, rng):
+        region = Rectangle(-1, 1, -1, 1)
+        # Inside the right edge, below the bottom edge, above the top edge.
+        rows = self.planted([[1.0 - gap + 0.3j], [-0.2 - 1j - 1j * gap], [0.5 + 1j + 1j * gap]],
+                            rng)
+        fallback = self.assert_counted_alike(rows, 0j, region)
+        assert fallback == (len(rows) if gap < zerocount._EIGEN_BOUNDARY_TOL else 0)
+
+    @pytest.mark.parametrize("roots", [[0.3 + 0.2j, 0.3 + 0.2j],
+                                       0.5 - 0.4j + 1e-9 * np.exp(2j * np.pi * np.arange(3) / 3)],
+                             ids=["double", "cluster"])
+    def test_double_root_and_cluster_fall_back(self, roots, rng):
+        rows = self.planted([roots] * 5, rng)
+        assert self.assert_counted_alike(rows, 0j, Rectangle(-1, 1, -1, 1)) == len(rows)
+
+    def test_degree_zero_and_zero_leading_coefficient(self, rng):
+        region = Rectangle(-1, 1, -1, 1)
+        constant = np.array([[0.5 + 0.5j], [1.0 + 0.5j], [-2.0]])
+        self.assert_counted_alike(constant, self.LEVEL, region)
+        rows = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+        rows[::2, -1] = 0.0
+        self.assert_counted_alike(rows, self.LEVEL, region)
+        _, discard, fallback = zerocount._root_counts_batch(rows, self.LEVEL, region)
+        np.testing.assert_array_equal(discard, [True, False] * 3)
+        assert fallback >= 3
+
+
 class TestCrossOracle:
     def test_winding_equals_companion_on_random_draws(self, rng):
         basis = MonomialBasis(3)
@@ -167,6 +243,22 @@ class TestEstimator:
         c = estimate_expected_count(profile, QUAD, 0j, SQUARE2, trials=300, seed=5,
                                     method="companion")
         assert w.mean == c.mean and w.discarded_trials == c.discarded_trials
+        assert (w.method, c.method) == ("winding", "companion")
+
+    @pytest.mark.parametrize("profile, basis", [
+        (CoefficientProfile.iid(11), MonomialBasis(10)),
+        (CoefficientProfile(np.linspace(-1, 1, 5), np.linspace(3, 0.01, 5), 0.5,
+                            np.linspace(0.1, 2, 5)), MonomialBasis(4)),
+        (CoefficientProfile.iid(7), WeightedMonomialBasis([3.0, 1.0, 0.5, 2.0, 1.0, 0.2, 0.7])),
+    ], ids=["iid", "means", "weighted"])
+    def test_auto_counts_roots_as_the_companion_does(self, profile, basis):
+        level, region = ComplexLevel(1.0, 0.5), Rectangle(0, 1.5, -0.5, 1)
+        auto = estimate_expected_count(profile, basis, level, region, trials=3000, seed=9)
+        companion = estimate_expected_count(profile, basis, level, region, trials=3000, seed=9,
+                                            method="companion")
+        assert (auto.method, companion.method, companion.fallback_trials) == ("roots", "companion", 0)
+        assert 0 <= auto.fallback_trials <= 30
+        assert dataclasses.replace(auto, method="companion", fallback_trials=0) == companion
 
     def test_count_bound_and_ci_shape(self):
         profile = CoefficientProfile.iid(4)
@@ -245,11 +337,12 @@ class TestEstimator:
         assert constant.mean == 0.0 and constant.discarded_trials == 0
 
     def test_discard_abort(self, monkeypatch):
+        # ``auto`` counts a polynomial basis on the roots route.
         def always_hits(coeff_rows, level, region):
             trials = len(coeff_rows)
-            return np.zeros(trials, dtype=np.int64), np.ones(trials, dtype=bool)
+            return np.zeros(trials, dtype=np.int64), np.ones(trials, dtype=bool), 0
 
-        monkeypatch.setattr(zerocount, "_companion_counts_batch", always_hits)
+        monkeypatch.setattr(zerocount, "_root_counts_batch", always_hits)
         with pytest.raises(DiscardRateError):
             estimate_expected_count(CoefficientProfile.iid(3), QUAD, 0j, SQUARE2,
                                     trials=200, seed=0)
@@ -265,24 +358,24 @@ class TestTrialBlocks:
     TRIALS = 1037  # not a multiple of the 50-trial blocks below
 
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("method", ["companion", "winding"])
+    @pytest.mark.parametrize("method", ["roots", "companion", "winding"])
     def test_blocks_match_one_batch(self, monkeypatch, method, workers):
-        name = f"_{method}_counts_batch"
+        name = "_root_counts_batch" if method == "roots" else f"_{method}_counts_batch"
         batch = getattr(zerocount, name)
 
         def with_rare_discards(rows, *args):
             # Discard about 0.5% of trials, so that misplaced discard masks
             # would change the mean.
-            counts, discard = batch(rows, *args)
-            return counts, discard | (rows[:, 0].real > 2.8)
+            counts, discard, *fallback = batch(rows, *args)
+            return (counts, discard | (rows[:, 0].real > 2.8), *fallback)
 
         monkeypatch.setattr(zerocount, name, with_rare_discards)
         eta = zerocount._sample_coefficients(self.PROFILE, self.TRIALS, 8)
-        if method == "companion":
-            rows, args = self.BASIS.polynomial_coefficients(eta), ()
-        else:
+        if method == "winding":
             rows, args = eta, (self.BASIS,)
-        counts, discard = with_rare_discards(rows, *args, self.LEVEL, self.REGION)
+        else:
+            rows, args = self.BASIS.polynomial_coefficients(eta), ()
+        counts, discard, *_ = with_rare_discards(rows, *args, self.LEVEL, self.REGION)
         kept = counts[~discard].astype(np.float64)
         reference = (
             float(kept.mean()),
@@ -292,17 +385,20 @@ class TestTrialBlocks:
         assert reference[2] > 0
 
         monkeypatch.setattr(zerocount, "_BLOCK_ENTRIES", 50 * 3**2)
+        monkeypatch.setattr(zerocount, "_BLOCK_ROOTS", 50 * 3)
         monkeypatch.setattr(zerocount, "_worker_count", lambda: workers)
         est = estimate_expected_count(self.PROFILE, self.BASIS, self.LEVEL, self.REGION,
-                                      trials=self.TRIALS, seed=8, method=method)
+                                      trials=self.TRIALS, seed=8,
+                                      method="auto" if method == "roots" else method)
         assert (est.mean, est.std_error, est.discarded_trials) == reference
+        assert est.method == method
 
     def test_block_error_propagates(self, monkeypatch):
         def broken(coeff_rows, level, region):
             raise FloatingPointError("block failed")
 
-        monkeypatch.setattr(zerocount, "_companion_counts_batch", broken)
-        monkeypatch.setattr(zerocount, "_BLOCK_ENTRIES", 50 * 3**2)
+        monkeypatch.setattr(zerocount, "_root_counts_batch", broken)
+        monkeypatch.setattr(zerocount, "_BLOCK_ROOTS", 50 * 3)
         monkeypatch.setattr(zerocount, "_worker_count", lambda: 3)
         with pytest.raises(FloatingPointError, match="block failed"):
             estimate_expected_count(self.PROFILE, self.BASIS, self.LEVEL, self.REGION,
