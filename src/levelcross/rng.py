@@ -41,18 +41,31 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _mix_in_place(x: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """``_mix`` of a uint64 array, written over it; ``shifted`` is scratch of its shape."""
+    for shift, factor in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(x, np.uint64(shift), out=shifted)
+        x ^= shifted
+        if factor is not None:
+            x *= factor
+    return x
+
+
+def _trial_state(seed, trial) -> np.ndarray:
+    """The key folded up to the trial: ``mix(mix(seed + golden) + trial)``."""
+    seed_word = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    with np.errstate(over="ignore"):
+        return _mix(_mix(seed_word + _GOLDEN) + np.asarray(trial, dtype=np.uint64))
+
+
 def _stream_state(seed, trial, slot) -> np.ndarray:
     """Fold the key components into a per-stream base state.
 
     Each fold is `mix(state + component)`: a bijection of the running state,
     so distinct keys collide only by 2^-64-level accident.
     """
-    seed_word = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
-        state = _mix(seed_word + _GOLDEN)
-        state = _mix(state + np.asarray(trial, dtype=np.uint64))
-        state = _mix(state + np.asarray(slot, dtype=np.uint64))
-    return state
+        return _mix(_trial_state(seed, trial) + np.asarray(slot, dtype=np.uint64))
 
 
 def _uniform_pair(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,10 +90,30 @@ def standard_normal_block(seed: int, trials: int, slots: int, first_trial: int =
     Entry ``[t, s]`` equals ``standard_normal(StreamKey(seed, first_trial + t,
     s))``, so batched and scalar paths are interchangeable, and a block that
     starts at ``first_trial`` holds exactly those rows of the block that
-    starts at 0.
+    starts at 0.  The block repeats the scalar path's operations in place, in
+    three ``(trials, slots)`` buffers of 64-bit words: two that become u1 and
+    u2 and one for the shifted words.
     """
     trial_idx = np.arange(first_trial, first_trial + trials, dtype=np.uint64)[:, None]
-    slot_idx = np.arange(slots, dtype=np.uint64)[None, :]
-    state = _stream_state(seed, trial_idx, slot_idx)
-    u1, u2 = _uniform_pair(state)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)
+    w1 = np.add(_trial_state(seed, trial_idx), np.arange(slots, dtype=np.uint64)[None, :])
+    shifted = np.empty_like(w1)
+    with np.errstate(over="ignore"):
+        _mix_in_place(w1, shifted)
+        w1 += _GOLDEN
+        w2 = w1 + _GOLDEN
+        _mix_in_place(w1, shifted)
+        _mix_in_place(w2, shifted)
+    del shifted
+    u1, u2 = w1.view(np.float64), w2.view(np.float64)
+    np.right_shift(w1, np.uint64(11), out=w1)
+    np.add(w1, 1.0, out=u1)
+    u1 *= _INV_2_53
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    np.right_shift(w2, np.uint64(11), out=w2)
+    np.multiply(w2, _INV_2_53, out=u2)
+    u2 *= _TWO_PI
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1

@@ -21,11 +21,18 @@ matrices of the rows it leaves in chunks of at most ``_BLOCK_ENTRIES``
 entries; the companion and winding counters take blocks of at most
 ``_BLOCK_ENTRIES`` companion matrix entries (trials x degree^2).  Memory
 therefore stays bounded at any trial count and degree.  The blocks run on a
-thread pool of one thread per CPU the process may use; ``np.linalg.eigvals``
-and the large ufuncs release the GIL, while the winding counter runs mostly
-in Python under it.  Block results are concatenated in trial order before
-the one reduction, so an estimate is bit-for-bit the same whatever the block
-size or the number of threads.
+thread pool of one thread per CPU the process may use.  ``np.linalg.eigvals``
+and the ufuncs release the GIL while they compute, but each call takes it
+to start, so threads that make many small calls wait on each other.  The
+roots counter therefore makes few, large calls: its blocks hold up to 2**14
+roots, their number is a multiple of the threads, and each block's Aberth
+sweeps and certificate reuse one scratch array of four entries per root.
+At N = 10, 20 000 trials took 187 ms on one thread and 164 ms on two, where
+blocks of 2**13 roots with new temporaries every sweep took 292 and 289 ms
+(2-CPU VM).  The winding counter runs mostly in Python under the GIL.
+Block results are concatenated in trial order before the one reduction, so
+an estimate is bit-for-bit the same whatever the block size or the number
+of threads.
 
 Trials whose zero set touches the region boundary cannot be counted reliably;
 they are discarded and reported (the zero set of a fixed draw meets the
@@ -77,7 +84,7 @@ _EIGEN_BOUNDARY_TOL = 1e-9
 _BLOCK_ENTRIES = 2**16
 
 # Root entries (trials x degree) per block of trials on the certified roots route.
-_BLOCK_ROOTS = 2**13
+_BLOCK_ROOTS = 2**14
 
 # Aberth sweeps after which a row's roots go to the certificate as they stand.
 _ABERTH_SWEEPS = 60
@@ -264,91 +271,158 @@ def _companion_counts_batch(coeff_rows: np.ndarray, level, region: Rectangle):
 # ---------------------------------------------------------------------------
 
 
-def _aberth_roots(c: np.ndarray) -> np.ndarray:
-    """Aberth-Ehrlich approximations of all roots of each row of ``c``.
+def _aberth_roots(c, scratch: np.ndarray):
+    """Aberth-Ehrlich approximations of all roots of each column of ``c``.
 
-    ``c`` has shape (rows, n + 1), n >= 2 and c_n != 0; the result has shape
-    (n, rows), one root per line, so that per-row values broadcast along
-    contiguous lines.  Each row starts from n points on the circle whose
-    radius |c_0 / c_n|^(1/n) is the geometric mean of its root moduli, and
-    all its roots are corrected at once.  A row stops after
-    ``_ABERTH_SWEEPS`` sweeps, or once every correction is within sixteen
-    units of roundoff of its root or a root is no longer finite.
+    ``c`` holds the n + 1 lines c_0 ... c_n of length rows, one polynomial
+    per column, n >= 2 and c_n != 0.  Each column starts from n points on
+    the circle whose radius |c_0 / c_n|^(1/n) is the geometric mean of its
+    root moduli, and all its roots are corrected at once.  Horner runs on
+    ``c`` as it stands: the Newton quotient p / p' does not depend on the
+    scale of the polynomial.  A column stops after ``_ABERTH_SWEEPS``
+    sweeps, or once every correction is within sixteen units of roundoff of
+    its root or a root is no longer finite.
+
+    All work happens in the four lines of ``scratch`` (shape (4, n * rows)),
+    reused by every sweep.  Two lines take turns holding the iterates of the
+    active columns, packed at the front, and p; one holds p'.  The fourth
+    collects the roots of stopped columns, one column per n entries in the
+    order they stop, and its free tail holds the sum of inverse differences.
+    Returns (roots, work): the roots with shape (n, rows), one root per line,
+    so that per-column values broadcast along contiguous lines, and the
+    three other lines, free for the certificate.
     """
-    degree = c.shape[1] - 1
-    a = np.ascontiguousarray((c[:, :-1] / c[:, -1:]).T)
+    degree, total = len(c) - 1, len(c[0])
+    z_line, p_line, dp_line, stopped_line = scratch
+    stopped = stopped_line.reshape(total, degree)
+    order = np.empty(total, dtype=np.intp)  # the column of c behind each stopped row
+    active = np.arange(total)
+    count = 0
+
+    def view(line, start=0):
+        return line[start:start + degree * active.size].reshape(degree, active.size)
+
     angles = 2.0 * np.pi * np.arange(degree) / degree + 0.7
-    z = np.exp(1j * angles)[:, None] * np.abs(a[0]) ** (1.0 / degree)
-    roots = np.empty_like(z)
-    active = np.arange(len(c))
+    z = view(z_line)
+    np.multiply(np.exp(1j * angles)[:, None], np.abs(c[0] / c[-1]) ** (1.0 / degree), out=z)
     for _ in range(_ABERTH_SWEEPS):
         if active.size == 0:
             break
-        p, dp = np.ones_like(z), np.zeros_like(z)
-        for k in range(degree - 1, -1, -1):
+        p, dp, pull = view(p_line), view(dp_line), view(stopped_line, degree * count)
+        whole = active.size == total
+
+        def coefficient(k):
+            return c[k] if whole else c[k][active]
+
+        np.copyto(dp, coefficient(degree))
+        np.multiply(z, dp, out=p)
+        p += coefficient(degree - 1)
+        for k in range(degree - 2, -1, -1):
             dp *= z
             dp += p
             p *= z
-            p += a[k]
+            p += coefficient(k)
         newton = np.divide(p, dp, out=p)
         # pull_i = sum over j != i of 1/(z_i - z_j), each pair formed once.
-        pull = np.zeros_like(z)
         for j in range(degree - 1):
             inverse = np.subtract(z[j + 1:], z[j], out=dp[j + 1:])
             np.reciprocal(inverse, out=inverse)
-            pull[j + 1:] += inverse
-            pull[j] -= inverse.sum(axis=0)
+            if j == 0:
+                pull[1:] = inverse
+                np.negative(inverse.sum(axis=0), out=pull[0])
+            else:
+                pull[j + 1:] += inverse
+                pull[j] -= inverse.sum(axis=0)
         # The Aberth correction newton / (1 - newton * pull), in place.
         np.multiply(newton, pull, out=pull)
         np.subtract(1.0, pull, out=pull)
         step = np.divide(newton, pull, out=newton)
         z -= step
-        done = np.all(np.abs(step) <= 16.0 * _U * np.abs(z), axis=0)
+        # |step| and 16 u |z| in the two real halves of the spent p' line.
+        halves = dp_line.view(np.float64)[:2 * z.size].reshape(2, *z.shape)
+        np.abs(step, out=halves[0])
+        np.abs(z, out=halves[1])
+        halves[1] *= 16.0 * _U
+        done = np.all(halves[0] <= halves[1], axis=0)
         done |= ~np.all(np.isfinite(z), axis=0)
         if done.any():
-            roots[:, active[done]] = z[:, done]
-            active, z, a = active[~done], z[:, ~done], a[:, ~done]
-    roots[:, active] = z
-    return roots
+            finished = count + int(np.count_nonzero(done))
+            stopped[count:finished] = z[:, done].T
+            order[count:finished] = active[done]
+            count, active = finished, active[~done]
+            z = np.take(z, np.flatnonzero(~done), axis=1, out=view(p_line), mode="clip")
+            z_line, p_line = p_line, z_line
+    stopped[count:] = z.T
+    order[count:] = active
+    roots = z_line.reshape(degree, total)
+    roots[:, order] = stopped.T
+    return roots, [p_line, dp_line, stopped_line]
 
 
-def _certified_counts(c: np.ndarray, z: np.ndarray, region: Rectangle):
-    """Certify approximate roots ``z`` (n, rows) of the rows of ``c`` and count them.
+def _edge_distance(z: np.ndarray, region: Rectangle, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Distance from each point of ``z`` to the nearest line through an edge of the region.
 
-    Returns (certified, counts) per row.  Root i gets the inclusion disk of
-    radius n (|p(z_i)| + 8(n+1) u sum_k |c_k||z_i|^k) / (|c_n| prod_{j != i}
+    Written to ``out``; ``work`` is scratch of the same shape.  Inside the
+    region this is the distance to the boundary, and outside it is a lower
+    bound on it.
+    """
+    np.abs(np.subtract(z.real, region.x_min, out=out), out=out)
+    for coordinate, edge in ((z.real, region.x_max), (z.imag, region.y_min), (z.imag, region.y_max)):
+        np.abs(np.subtract(coordinate, edge, out=work), out=work)
+        np.minimum(out, work, out=out)
+    return out
+
+
+def _certified_counts(c, z: np.ndarray, region: Rectangle, work):
+    """Certify approximate roots ``z`` (n, rows) of the columns of lines ``c`` and count them.
+
+    Returns (certified, counts) per column.  Root i gets the inclusion disk
+    of radius n (|p(z_i)| + 8(n+1) u sum_k |c_k||z_i|^k) / (|c_n| prod_{j != i}
     |z_i - z_j| (1 - 4nu)), the Horner value with its rounding bound; the
     union of these disks holds every root, and a disk disjoint from the
-    others holds exactly one (B. T. Smith, J. ACM 17, 1970).  A row is
+    others holds exactly one (B. T. Smith, J. ACM 17, 1970).  A column is
     certified when its disks are pairwise disjoint and each lies more than
-    ``2 * _EIGEN_BOUNDARY_TOL`` from the region boundary; its count is then
+    ``2 * _EIGEN_BOUNDARY_TOL`` from every line through an edge of the
+    region, a lower bound on its distance to the boundary; its count is then
     the number of centres inside.  A NaN, an inf or a zero product leaves
-    its row uncertified.
+    its column uncertified.  The work arrays are views of the three complex
+    lines of n * rows entries in ``work``.
     """
-    degree = len(z)
-    c = np.ascontiguousarray(c.T)
-    abs_c, abs_z = np.abs(c), np.abs(z)
-    p = np.repeat(c[-1:], degree, axis=0)
-    bound = np.repeat(abs_c[-1:], degree, axis=0)
+    degree, rows = z.shape
+    p = work[0].reshape(degree, rows)
+    bound, abs_z = work[1].view(np.float64).reshape(2, degree, rows)
+    product, nearest = work[2].view(np.float64).reshape(2, degree, rows)
+    np.abs(z, out=abs_z)
+    p[...] = c[-1]
+    np.abs(c[-1], out=bound[0])
+    bound[1:] = bound[0]
     for k in range(degree - 1, -1, -1):
         p *= z
         p += c[k]
         bound *= abs_z
-        bound += abs_c[k]
-    product, nearest = np.ones_like(abs_z), np.full_like(abs_z, np.inf)
+        bound += np.abs(c[k])
+    bound *= 8 * (degree + 1) * _U
+    bound += np.abs(p, out=abs_z)
+    bound *= degree
+    # p and abs_z are free from here: they hold z_j - z_i and its modulus.
+    product.fill(1.0)
+    nearest.fill(np.inf)
     for j in range(degree - 1):
-        dist = np.abs(z[j + 1:] - z[j])
+        dist = np.abs(np.subtract(z[j + 1:], z[j], out=p[j + 1:]), out=abs_z[j + 1:])
         product[j + 1:] *= dist
         product[j] *= dist.prod(axis=0)
         np.minimum(nearest[j + 1:], dist, out=nearest[j + 1:])
         nearest[j] = np.minimum(nearest[j], dist.min(axis=0))
-    radius = degree * (np.abs(p) + 8 * (degree + 1) * _U * bound) / (
-        abs_c[-1] * product * (1.0 - 4 * degree * _U))
-    sound = np.isfinite(radius) & np.isfinite(product) & (product > 0)
+    sound = np.isfinite(product) & (product > 0)
+    product *= np.abs(c[-1])
+    product *= 1.0 - 4 * degree * _U
+    radius = np.divide(bound, product, out=bound)
+    sound &= np.isfinite(radius)
     # Disk i misses every other disk when its nearest centre lies beyond both
     # its own radius and the row's largest one.
-    disjoint = nearest > radius + radius.max(axis=0)
-    clear = region.boundary_distance(z) > radius + 2 * _EIGEN_BOUNDARY_TOL
+    disjoint = nearest > np.add(radius, radius.max(axis=0), out=product)
+    radius += 2 * _EIGEN_BOUNDARY_TOL
+    clear = _edge_distance(z, region, product, abs_z) > radius
     certified = np.all(sound & disjoint & clear, axis=0)
     return certified, np.count_nonzero(region.contains(z), axis=0)
 
@@ -357,34 +431,42 @@ def _root_counts_batch(coeff_rows: np.ndarray, level, region: Rectangle):
     """Certified root counting for one coefficient row per trial.
 
     Returns (counts, discard_mask, fallback), ``fallback`` being the number
-    of rows left to companion eigenvalues.  The roots of each
-    polynomial sum_j c_j z^j - K come from ``_aberth_roots`` and are counted
-    where ``_certified_counts`` certifies them; every other row, and every
-    row of degree 0 or 1 or with vanishing leading coefficient, goes through
-    ``_companion_counts_batch`` unchanged, in chunks of at most
-    ``_BLOCK_ENTRIES`` companion entries.  A certified root lies more than
-    1e-9 from the boundary, so the companion counter would keep its trial and
-    count it alike unless an eigenvalue is off by more than 1e-9.
+    of rows left to companion eigenvalues.  The coefficients of each
+    polynomial sum_j c_j z^j - K are transposed once into columns, with K
+    taken from c_0.  Their roots come from ``_aberth_roots`` and are counted
+    where ``_certified_counts`` certifies them; both share one scratch
+    array.  Every other row, and every row of degree 0 or 1 or with
+    vanishing leading coefficient, goes through ``_companion_counts_batch``
+    with the same shifted coefficients at level 0, which forms the same
+    matrices, in chunks of at most ``_BLOCK_ENTRIES`` companion entries.  A
+    certified root lies more than 1e-9 from the boundary, so the companion
+    counter would keep its trial and count it alike unless an eigenvalue is
+    off by more than 1e-9.
     """
     level = as_level(level)
-    rows = np.asarray(coeff_rows, dtype=np.complex128)
-    degree = rows.shape[1] - 1
-    counts = np.zeros(len(rows), dtype=np.int64)
-    discard = np.zeros(len(rows), dtype=bool)
-    certified = np.zeros(len(rows), dtype=bool)
+    columns = np.asarray(coeff_rows, dtype=np.complex128).T
+    degree, trials = columns.shape[0] - 1, columns.shape[1]
+    # One line per power, over all trials: c_0 - K, c_1, ..., c_n.
+    c = [columns[0] - level.value, *np.ascontiguousarray(columns[1:])]
+    counts = np.zeros(trials, dtype=np.int64)
+    discard = np.zeros(trials, dtype=bool)
+    certified = np.zeros(trials, dtype=bool)
     if degree >= 2:
-        c = rows.copy()
-        c[:, 0] -= level.value
-        tried = np.flatnonzero(c[:, -1] != 0)
+        tried = np.flatnonzero(c[-1] != 0)
+        lines = c if tried.size == trials else [line[tried] for line in c]
+        scratch = np.empty((4, degree * tried.size), dtype=np.complex128)
         with np.errstate(all="ignore"):
-            ok, found = _certified_counts(c[tried], _aberth_roots(c[tried]), region)
+            roots, work = _aberth_roots(lines, scratch)
+            ok, found = _certified_counts(lines, roots, region, work)
         certified[tried[ok]] = True
         counts[tried[ok]] = found[ok]
+        del lines, roots, work, scratch  # before the companion matrices
     fallback = np.flatnonzero(~certified)
     chunk = max(1, _BLOCK_ENTRIES // max(1, degree) ** 2)
     for start in range(0, fallback.size, chunk):
         part = fallback[start:start + chunk]
-        counts[part], discard[part] = _companion_counts_batch(rows[part], level, region)
+        shifted = np.stack([line[part] for line in c], axis=1)
+        counts[part], discard[part] = _companion_counts_batch(shifted, 0j, region)
     return counts, discard, int(fallback.size)
 
 
@@ -402,9 +484,14 @@ def _sample_coefficients(
     """
     n = profile.size
     block = standard_normal_block(seed, trials, 2 * n, first_trial=first_trial)
-    a = profile.mu_a[None, :] + np.sqrt(profile.var_a)[None, :] * block[:, 0::2]
-    b = profile.mu_b[None, :] + np.sqrt(profile.var_b)[None, :] * block[:, 1::2]
-    return a + 1j * b
+    # Stored one line per coefficient, so that the roots counter reads the
+    # transpose without a copy.
+    eta = np.empty((n, trials), dtype=np.complex128).T
+    for part, mu, var, draws in ((eta.real, profile.mu_a, profile.var_a, block[:, 0::2]),
+                                 (eta.imag, profile.mu_b, profile.var_b, block[:, 1::2])):
+        np.multiply(np.sqrt(var), draws, out=part)
+        part += mu
+    return eta
 
 
 def _worker_count() -> int:
@@ -484,7 +571,13 @@ def estimate_expected_count(
         def count(eta):
             return (*_companion_counts_batch(basis.polynomial_coefficients(eta), level, region), 0)
     else:
-        counter, size = "roots", _BLOCK_ROOTS // degree
+        counter, size = "roots", max(1, _BLOCK_ROOTS // degree)
+        blocks = -(-trials // size)
+        if blocks > 1:
+            # As many blocks as a multiple of the workers, so that each
+            # worker counts an equal share.
+            workers = _worker_count()
+            size = -(-trials // (-(-blocks // workers) * workers))
 
         def count(eta):
             return _root_counts_batch(basis.polynomial_coefficients(eta), level, region)

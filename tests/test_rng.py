@@ -61,3 +61,23 @@ def test_cross_stream_independence():
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
     c = standard_normal_block(3, 2, 100000)
     assert abs(np.corrcoef(c[0], c[1])[0, 1]) < 0.02
+
+
+@pytest.mark.parametrize("seed, trials, slots, first_trial, picks", [
+    (0, 3, 4, 0, [(0, 0, 0xBFFD6E559EAF8A12), (2, 3, 0x3FFD81D95C3D985D),
+                  (1, 2, 0xBFC0D8619E5568E7)]),
+    (2**64 - 1, 2, 5, 0, [(0, 0, 0xC00062105F30DE66), (1, 4, 0xBFD4078F023C23EF),
+                          (1, 2, 0x3FBBC2443609730F)]),
+    (2**63 + 12345, 3, 22, 2**40 + 7, [(0, 0, 0xBFDF93E1CD8B6D0C), (2, 21, 0xBFEBA731CF140AD1),
+                                        (1, 11, 0x3FEFC8DFC32C35FA)]),
+    (31, 4, 22, 10**15, [(0, 0, 0xBFC25F4BCDD7B6E7), (3, 21, 0xBFE3B6B7BFD5F23A),
+                         (2, 11, 0x3FCABF81215228D4)]),
+])
+def test_block_bits_are_pinned(seed, trials, slots, first_trial, picks):
+    # Bit patterns recorded from the out-of-place implementation; a seed of
+    # 2**63 or more wraps the uint64 key words, and a large first trial
+    # exercises the high bits of the trial index.
+    block = standard_normal_block(seed, trials, slots, first_trial=first_trial)
+    assert block.shape == (trials, slots) and block.dtype == np.float64
+    for t, s, bits in picks:
+        assert int(block[t, s:s + 1].view(np.uint64)[0]) == bits

@@ -24,6 +24,7 @@ from levelcross import (
     estimate_expected_count,
     general_mean_density,
     integrate_density,
+    standard_normal_block,
     zero_mean_density,
 )
 import levelcross.zerocount as zerocount
@@ -170,6 +171,17 @@ class TestRootsCounter:
         np.testing.assert_array_equal(discard, [True, False] * 3)
         assert fallback >= 3
 
+    def test_edge_distance_bounds_the_boundary_distance(self, rng):
+        region = Rectangle(-1, 1.5, -0.5, 2)
+        z = 3 * rng.normal(size=(7, 300)) + 3j * rng.normal(size=(7, 300))
+        out, work = np.empty(z.shape), np.empty(z.shape)
+        gap = zerocount._edge_distance(z, region, out, work)
+        exact = region.boundary_distance(z)
+        inside = region.contains(z)
+        assert gap is out and 0 < inside.sum() < z.size
+        np.testing.assert_array_equal(gap[inside], exact[inside])
+        assert np.all(gap[~inside] <= exact[~inside])
+
 
 class TestCrossOracle:
     def test_winding_equals_companion_on_random_draws(self, rng):
@@ -218,6 +230,18 @@ class TestCrossOracle:
 
 
 class TestEstimator:
+    def test_coefficients_equal_the_complex_sum_bit_for_bit(self):
+        # Means and unequal variances on both parts; a block away from trial 0.
+        profile = CoefficientProfile(np.linspace(-1, 1, 11), np.linspace(0.2, 3, 11),
+                                     np.linspace(0.5, -0.5, 11), np.linspace(2, 0.05, 11))
+        block = standard_normal_block(23, 400, 22, first_trial=1000)
+        a = profile.mu_a[None, :] + np.sqrt(profile.var_a)[None, :] * block[:, 0::2]
+        b = profile.mu_b[None, :] + np.sqrt(profile.var_b)[None, :] * block[:, 1::2]
+        eta = zerocount._sample_coefficients(profile, 400, 23, first_trial=1000)
+        assert eta.shape == (400, 11) and eta.dtype == np.complex128
+        np.testing.assert_array_equal(np.ascontiguousarray(eta).view(np.uint64),
+                                      (a + 1j * b).view(np.uint64))
+
     def test_requires_enough_trials(self):
         with pytest.raises(ConfigurationError):
             estimate_expected_count(CoefficientProfile.iid(3), QUAD, 0j, SQUARE2, trials=50)
@@ -356,6 +380,8 @@ class TestTrialBlocks:
     LEVEL = ComplexLevel(0.3, -0.2)
     REGION = Rectangle(-1, 1, -1, 1)
     TRIALS = 1037  # not a multiple of the 50-trial blocks below
+    BLOCK_ROOTS = zerocount._BLOCK_ROOTS
+    PEAK_MB = 2.91
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("method", ["roots", "companion", "winding"])
@@ -424,6 +450,38 @@ class TestTrialBlocks:
             tracemalloc.stop()
         assert est.trials == 20000
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("profile", ["iid", "means"])
+    @pytest.mark.parametrize("degree, trials", [(3, 3000), (10, 2000), (40, 400)])
+    def test_roots_estimate_ignores_blocks_and_workers(self, monkeypatch, degree, trials, profile):
+        model_profile, basis = TestRootsCounter.PROFILES[profile](degree)
+        seen = set()
+        for block_roots in (2**10, 2**13, self.BLOCK_ROOTS):
+            for workers in (1, 2):
+                monkeypatch.setattr(zerocount, "_BLOCK_ROOTS", block_roots)
+                monkeypatch.setattr(zerocount, "_worker_count", lambda: workers)
+                est = estimate_expected_count(model_profile, basis, TestRootsCounter.LEVEL,
+                                              self.REGION, trials=trials, seed=degree)
+                assert est.method == "roots"
+                seen.add((est.mean, est.std_error, est.discarded_trials, est.fallback_trials))
+        assert len(seen) == 1
+
+    def test_two_workers_keep_lean_block_scratch(self, monkeypatch):
+        # With blocks of 2**13 roots and fresh temporaries every sweep, this
+        # estimate peaked at 3.68-3.91 MB on two workers.  The block scratch
+        # reused by every sweep holds blocks of 2**14 roots in 2.85-2.97 MB;
+        # the bound allows 25% over PEAK_MB, their median.
+        monkeypatch.setattr(zerocount, "_worker_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            est = estimate_expected_count(CoefficientProfile.iid(11), MonomialBasis(10),
+                                          ComplexLevel(1.0, 0.5), self.REGION,
+                                          trials=20000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.trials == 20000 and est.method == "roots"
+        assert peak < 1.25 * self.PEAK_MB * 2**20
 
     def test_winding_trials_are_sampled_in_bounded_blocks(self, monkeypatch):
         # Sampling all 20 000 degree-10 trials at once holds about 20 MB of
