@@ -27,12 +27,12 @@ to start, so threads that make many small calls wait on each other.  The
 roots counter therefore makes few, large calls: its blocks hold up to 2**14
 roots, their number is a multiple of the threads, and each block's Aberth
 sweeps and certificate reuse one scratch array of four entries per root.
-At N = 10, 20 000 trials took 187 ms on one thread and 164 ms on two, where
-blocks of 2**13 roots with new temporaries every sweep took 292 and 289 ms
-(2-CPU VM).  The winding counter runs mostly in Python under the GIL.
-Block results are concatenated in trial order before the one reduction, so
-an estimate is bit-for-bit the same whatever the block size or the number
-of threads.
+At N = 10, 20 000 trials took 187-250 ms on one thread and 164-189 ms on
+two, where blocks of 2**13 roots with new temporaries every sweep took
+292-420 and 289-337 ms (two sets of interleaved runs on a shared 2-CPU VM).
+The winding counter runs mostly in Python under the GIL.  Block results
+are concatenated in trial order before the one reduction, so an estimate
+is bit-for-bit the same whatever the block size or the number of threads.
 
 Trials whose zero set touches the region boundary cannot be counted reliably;
 they are discarded and reported (the zero set of a fixed draw meets the
@@ -302,6 +302,9 @@ def _aberth_roots(c, scratch: np.ndarray):
     def view(line, start=0):
         return line[start:start + degree * active.size].reshape(degree, active.size)
 
+    def coefficient(k):
+        return c[k] if active.size == total else c[k][active]
+
     angles = 2.0 * np.pi * np.arange(degree) / degree + 0.7
     z = view(z_line)
     np.multiply(np.exp(1j * angles)[:, None], np.abs(c[0] / c[-1]) ** (1.0 / degree), out=z)
@@ -309,11 +312,6 @@ def _aberth_roots(c, scratch: np.ndarray):
         if active.size == 0:
             break
         p, dp, pull = view(p_line), view(dp_line), view(stopped_line, degree * count)
-        whole = active.size == total
-
-        def coefficient(k):
-            return c[k] if whole else c[k][active]
-
         np.copyto(dp, coefficient(degree))
         np.multiply(z, dp, out=p)
         p += coefficient(degree - 1)
