@@ -40,9 +40,12 @@ rows, plus the cross products u_k v_k against two.  Every other basis
 takes the general route over eight value/derivative products.  The power
 route writes d1 and d2 through the sums P1, P2 (nonnegative terms) and C,
 not as the half-sums (S1 +- D1)/2 of a Hermitian and a bilinear sum, which
-cancel when var_a and var_b are far apart.  ``_covariance_parts`` adds the
+cancel when var_a and var_b are far apart.  ``_quadratic_forms`` adds the
 determinant for theorems 2 and 4; theorem 3 reads B0 = y1, B1 = d1 and
-B2 = d3/2 from the unit-variance forms.
+B2 = d3/2 from the unit-variance forms.  Both routes form the mean sums
+of theorem 4 from the real rows (mu_a, mu_b): one real matmul over the
+interleaved real and imaginary parts of the table gives sum mu_a f and
+sum mu_b f, and likewise against f'.
 
 Conjugate pairs.  On a basis real on the real line,
 conj S(conj z) = sum conj(eta_j) f_j(z), so h for the means mu at the level
@@ -52,14 +55,13 @@ det and d0 at z; only the level and the mean sums change.  With
 ``mirror=True``, ``zero_mean_density`` and ``general_mean_density`` return
 the pair mean (h(z) + h(conj z)) / 2 from that one set of forms: the second
 term repeats only the assembly, at conj K, and for theorem 4 with the mean
-sums of conj mu, which the routes form from the real rows mu_a and mu_b
-rather than by a second complex product.  Where the law is its own
-conjugate (every mu_b zero and K real) the pair mean is h, bit for bit.
-The two terms agree with h at z and at conj z only to rounding: the table
-and the forms at conj z are the exact conjugates of those at z, but the
-assembly's intermediates (r, q2 r, |d1 + i d2|^2) are not invariant under
-the conjugation, and its braces cancel by factors of 1e5 to 1e6 at degree
-40 near |z| = 8.
+sums of conj mu, which the real rows give with no second product.  Where
+the law is its own conjugate (every mu_b zero and K real) the pair mean is
+h, bit for bit.  The two terms agree with h at z and at conj z only to
+rounding: the table and the forms at conj z are the exact conjugates of
+those at z, but the assembly's intermediates (r, q2 r, |d1 + i d2|^2) are
+not invariant under the conjugation, and its braces cancel by factors of
+1e5 to 1e6 at degree 40 near |z| = 8.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from .model import (
     MonomialBasis,
     TimeGrid,
     WeightedMonomialBasis,
+    _check_sizes,
     as_level,
     build_brownian_basis,
 )
@@ -172,13 +175,6 @@ class DensityPartsGeneral(DensityParts):
 # ---------------------------------------------------------------------------
 
 
-def _check_sizes(profile: CoefficientProfile, basis: BasisFamily) -> None:
-    if profile.size != basis.count:
-        raise ConfigurationError(
-            f"profile has {profile.size} entries but basis has {basis.count} members"
-        )
-
-
 def _col(arr: np.ndarray, ndim: int) -> np.ndarray:
     """Reshape a per-index vector for broadcasting against (count,) + z.shape."""
     return arr.reshape(arr.shape + (1,) * ndim)
@@ -217,15 +213,12 @@ def _weighted_sums(weights, vals, derivs):
 
 
 def _mean_sums(mu, table):
-    """Sum ``mu`` against the complex ``table`` over its index axis.
+    """Sum the real rows ``mu`` = (mu_a, mu_b) against the complex ``table``.
 
-    ``mu`` is either the complex means mu_a + i mu_b, one complex product,
-    or the real rows (mu_a, mu_b), one real matmul over the interleaved real
-    and imaginary parts of the table.  The rows give sum mu_a f and sum mu_b f,
-    from which the sums of both mu and conj(mu) follow with no complex product.
+    One real matmul over the interleaved real and imaginary parts of the
+    table gives sum mu_a f and sum mu_b f, from which the sums of both mu
+    and conj(mu) follow with no complex product.
     """
-    if np.iscomplexobj(mu):
-        return mu @ table
     return (mu @ np.ascontiguousarray(table).view(np.float64)).view(np.complex128)
 
 
@@ -234,14 +227,13 @@ def _product_forms(var_a, var_b, mu, basis, points):
 
     The general route: ``forms`` holds y1, y2, y3, d3 and ``cross`` d1, d2,
     reduced by ``_weighted_sums`` per block; ``mean_sums`` holds the sums of
-    ``mu`` (see ``_mean_sums``) against f and against f', E(S) = mu @ f and
-    m = mu @ f' for complex means, or is None without them.
+    the real rows ``mu`` = (mu_a, mu_b) against f and against f' (see
+    ``_mean_sums``), shape (2, 2, points), or is None without ``mu``.
     """
     weights = np.stack((var_a, var_b))
     forms = np.empty((4, points.size))
     cross = np.empty((2, points.size), dtype=np.complex128)
-    mean_sums = None if mu is None else np.empty(
-        (2,) + mu.shape[:-1] + (points.size,), dtype=np.complex128)
+    mean_sums = None if mu is None else np.empty((2, 2, points.size), dtype=np.complex128)
     for block, vals, derivs in _basis_blocks(basis, points):
         a, b = _weighted_sums(weights, vals, derivs)
         a_uu, a_vv, a_uv, a_up, a_vq, a_uq, a_vp, a_pp = a
@@ -290,16 +282,16 @@ def _power_forms(var_a, var_b, mu, basis, points):
     # Interleaved like the squares: (u^2 sum, v^2 sum) per point.
     square_sums = np.empty((5, 2 * points.size))
     cross_sums = np.empty((2, points.size))
-    mean_sums = None if mu is None else np.empty(
-        (2,) + mu.shape[:-1] + (points.size,), dtype=np.complex128)
+    mean_sums = None if mu is None else np.empty((2, 2, points.size), dtype=np.complex128)
     for block, vals, _ in _basis_blocks(basis, points, _POWER_BLOCK_TERMS, derivatives=False):
         pairs = slice(2 * block.start, 2 * block.stop)
         np.matmul(square_weights, np.square(vals.view(np.float64)), out=square_sums[:, pairs])
         np.matmul(cross_weights, vals.real * vals.imag, out=cross_sums[:, block])
         if mu is not None:
-            # Two vector products, not one (2, n) complex matmul: the matmul
-            # was no faster (general_mean_density on 7200 points, one BLAS
-            # thread: equal within 1% at N = 2 and 10, 3% slower at N = 40).
+            # Two products, not one over mu and mu_deriv stacked: with the
+            # complex means the stacked matmul was no faster
+            # (general_mean_density on 7200 points, one BLAS thread: equal
+            # within 1% at N = 2 and 10, 3% slower at N = 40).
             mean_sums[..., block] = _mean_sums(mu, vals), _mean_sums(mu_deriv, vals)
     (a_u, a_v), (b_u, b_v), (d_u, d_v), (ja_u, ja_v), (jb_u, jb_v) = (
         square_sums.reshape(5, -1, 2).transpose(0, 2, 1)
@@ -319,14 +311,14 @@ def _basis_forms(var_a, var_b, mu, basis, points):
 
     The one choice of route.  The monomial families (``MonomialBasis`` and
     its subclass ``WeightedMonomialBasis``) take ``_power_forms``: a member
-    w_j z^j whose coefficient has variances (var_a_j, var_b_j) and complex
-    mean mu_j is the power z^j with variances w_j^2 var_a_j, w_j^2 var_b_j
-    and mean w_j mu_j, so the weights are folded into the laws and the
-    route is handed the plain powers.  Every other basis takes
-    ``_product_forms``.  The arguments are arrays, not a
+    w_j z^j whose coefficient has variances (var_a_j, var_b_j) and means
+    (mu_a_j, mu_b_j) is the power z^j with variances w_j^2 var_a_j,
+    w_j^2 var_b_j and means w_j mu_a_j, w_j mu_b_j, so the weights are
+    folded into the laws and the route is handed the plain powers.  Every
+    other basis takes ``_product_forms``.  The arguments are arrays, not a
     ``CoefficientProfile``: a zero weight folds into a zero variance.
-    ``mu`` is None when the mean sums are not wanted, the complex means, or
-    the real rows (mu_a, mu_b) of ``_mean_sums``.
+    ``mu`` is None when the mean sums are not wanted, else the real rows
+    (mu_a, mu_b) of ``_mean_sums``.
     """
     if not isinstance(basis, MonomialBasis):
         return _product_forms(var_a, var_b, mu, basis, points)
@@ -339,26 +331,14 @@ def _basis_forms(var_a, var_b, mu, basis, points):
     return _power_forms(var_a, var_b, mu, basis, points)
 
 
-def _covariance_parts(profile, basis, z, means: bool = False):
-    """Plain quadratic forms at z: y1, y2, y3, det, d0, d1, d2, d3.
-
-    With ``means`` also ex1, ex2 and m of the mean field.
-    """
-    mu = profile.mu_a + 1j * profile.mu_b if means else None
-    forms, mean_sums = _quadratic_forms(profile, basis, z, mu)
-    if not means:
-        return forms
-    ex, m = mean_sums
-    return (*forms, ex.real, ex.imag, m)
-
-
-def _quadratic_forms(profile, basis, z, mu):
+def _quadratic_forms(profile, basis, z, mu=None):
     """Return ((y1, y2, y3, det, d0, d1, d2, d3), mean_sums) at z.
 
-    ``mean_sums`` is None without ``mu``, else the sums of ``mu`` (complex
-    means, or the real rows of ``_mean_sums``) against f and f', shaped
-    like z after their leading axes.  ``_basis_forms`` picks the route over
-    blocks of points from ``_basis_blocks``:
+    ``mean_sums`` is None without ``mu``, else the sums of the real rows
+    ``mu`` = (mu_a, mu_b) against f and f' (see ``_mean_sums``), shape
+    (2, 2) + z.shape: ((sum mu_a f, sum mu_b f), (sum mu_a f', sum mu_b f')).
+    ``_basis_forms`` picks the route over blocks of points from
+    ``_basis_blocks``:
 
     - ``_power_forms`` for ``MonomialBasis`` and ``WeightedMonomialBasis``
       (weights folded into the variances and means): the squares and cross
@@ -458,7 +438,8 @@ def zero_mean_density(
             "zero_mean_density requires a zero-mean profile; use general_mean_density"
         )
     level = as_level(level)
-    y1, y2, y3, det, d0, d1, d2, d3 = forms = _covariance_parts(profile, basis, z)
+    forms, _ = _quadratic_forms(profile, basis, z)
+    y1, y2, y3, det, d0, d1, d2, d3 = forms
     h = _zero_mean_h(*forms, level.k1, level.k2)
     if mirror and level.k2 != 0.0:
         h = 0.5 * (h + _zero_mean_h(*forms, level.k1, -level.k2))
@@ -476,7 +457,7 @@ def equal_variance_density(sigma2: float, basis: BasisFamily, level, z) -> Equal
     level = as_level(level)
     z = np.asarray(z, dtype=np.complex128)
     # B0, B1 and B2 are y1, d1 and d3/2 of the unit-variance forms.  They are
-    # read here, not through _covariance_parts, whose y1*y3 passes the double
+    # read here, not through _quadratic_forms, whose y1*y3 passes the double
     # range at high degree.
     unit = np.ones(basis.count)
     (y1, _, _, d3), (d1, _), _ = _basis_forms(unit, unit, None, basis, z.reshape(-1))
@@ -515,17 +496,13 @@ def general_mean_density(
     """
     _check_sizes(profile, basis)
     level = as_level(level)
-    mirror = mirror and (level.k2 != 0.0 or np.any(profile.mu_b))
-    if mirror:
-        forms, ((ea, eb), (ma, mb)) = _quadratic_forms(
-            profile, basis, z, np.stack((profile.mu_a, profile.mu_b))
-        )
-        ex, m = ea + 1j * eb, ma + 1j * mb
-    else:
-        forms, (ex, m) = _quadratic_forms(profile, basis, z, profile.mu_a + 1j * profile.mu_b)
+    forms, ((ea, eb), (ma, mb)) = _quadratic_forms(
+        profile, basis, z, np.stack((profile.mu_a, profile.mu_b))
+    )
+    ex, m = ea + 1j * eb, ma + 1j * mb
     ex1, ex2 = ex.real, ex.imag
     h = _general_mean_h(*forms, level.k1 - ex1, level.k2 - ex2, m)
-    if mirror:
+    if mirror and (level.k2 != 0.0 or np.any(profile.mu_b)):
         # conj(mu) sums to ea - i eb against f and ma - i mb against f'; its level is conj K.
         ex_c = ea - 1j * eb
         h_c = _general_mean_h(*forms, level.k1 - ex_c.real, -level.k2 - ex_c.imag, ma - 1j * mb)
@@ -545,7 +522,7 @@ def zero_level_density(profile: CoefficientProfile, basis: BasisFamily, z):
     _check_sizes(profile, basis)
     if not profile.has_zero_means:
         raise ContractViolationError("zero_level_density requires a zero-mean profile")
-    y1, y2, y3, det, d0, d1, d2, d3 = _covariance_parts(profile, basis, z)
+    (y1, y2, y3, det, d0, d1, d2, d3), _ = _quadratic_forms(profile, basis, z)
     ad1 = d1.real**2 + d1.imag**2
     ad2 = d2.real**2 + d2.imag**2
     d12 = d1 + 1j * d2

@@ -411,6 +411,14 @@ class TabulatedBasis(BasisFamily):
 # ---------------------------------------------------------------------------
 
 
+def _check_sizes(profile: CoefficientProfile, basis: BasisFamily) -> None:
+    """Raise ``ConfigurationError`` unless the profile has one law per basis member."""
+    if profile.size != basis.count:
+        raise ConfigurationError(
+            f"profile has {profile.size} entries but basis has {basis.count} members"
+        )
+
+
 def build_brownian_basis(inner: BasisFamily, grid: TimeGrid) -> tuple[PrefixSumBasis, CoefficientProfile]:
     """Prefix-sum basis plus the increment-variance profile for a time grid.
 

@@ -30,25 +30,24 @@ class StreamKey:
     slot: int
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer; full-avalanche bijection on 64-bit words."""
-    x = x.astype(np.uint64, copy=True) if isinstance(x, np.ndarray) else np.uint64(x)
-    x ^= x >> np.uint64(30)
-    x *= _MIX1
-    x ^= x >> np.uint64(27)
-    x *= _MIX2
-    x ^= x >> np.uint64(31)
-    return x
-
-
 def _mix_in_place(x: np.ndarray, shifted: np.ndarray) -> np.ndarray:
-    """``_mix`` of a uint64 array, written over it; ``shifted`` is scratch of its shape."""
+    """SplitMix64 finalizer of a uint64 array, written over it.
+
+    A full-avalanche bijection on 64-bit words; ``shifted`` is scratch of
+    the shape of ``x``.
+    """
     for shift, factor in ((30, _MIX1), (27, _MIX2), (31, None)):
         np.right_shift(x, np.uint64(shift), out=shifted)
         x ^= shifted
         if factor is not None:
             x *= factor
     return x
+
+
+def _mix(x) -> np.ndarray:
+    """``_mix_in_place`` of a copy of ``x`` as uint64 words."""
+    x = np.array(x, dtype=np.uint64)
+    return _mix_in_place(x, np.empty_like(x))
 
 
 def _trial_state(seed, trial) -> np.ndarray:

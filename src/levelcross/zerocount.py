@@ -14,19 +14,20 @@ certificate leaves (clusters, multiple roots, roots near the boundary,
 non-finite values) go to the companion counter, so an estimate equals the
 companion counter's unless an eigenvalue is off by more than 1e-9.
 
-All counters work through one driver.  Each block draws its own rows of
-the keyed random grid and counts them: the roots counter takes blocks of at
-most ``_BLOCK_ROOTS`` roots (trials x degree), and builds the companion
-matrices of the rows it leaves in chunks of at most ``_BLOCK_ENTRIES``
-entries; the companion and winding counters take blocks of at most
-``_BLOCK_ENTRIES`` companion matrix entries (trials x degree^2).  Memory
+All counters work through one driver with one block rule.  Each block
+draws its own rows of the keyed random grid and counts them.  A block holds
+at most ``_BLOCK_ROOTS`` roots (trials x degree), and when there is more
+than one block their number is rounded up to a multiple of the threads.
+Companion matrices, for the companion counter and for the rows the roots
+counter leaves, are built in ``_companion_counts_batch`` alone, in chunks
+of at most ``_BLOCK_ENTRIES`` entries (trials x degree^2).  Memory
 therefore stays bounded at any trial count and degree.  The blocks run on a
 thread pool of one thread per CPU the process may use.  ``np.linalg.eigvals``
 and the ufuncs release the GIL while they compute, but each call takes it
 to start, so threads that make many small calls wait on each other.  The
 roots counter therefore makes few, large calls: its blocks hold up to 2**14
-roots, their number is a multiple of the threads, and each block's Aberth
-sweeps and certificate reuse one scratch array of four entries per root.
+roots, and each block's Aberth sweeps and certificate reuse one scratch
+array of four entries per root.
 At N = 10, 20 000 trials took 187-250 ms on one thread and 164-189 ms on
 two, where blocks of 2**13 roots with new temporaries every sweep took
 292-420 and 289-337 ms (two sets of interleaved runs on a shared 2-CPU VM).
@@ -54,7 +55,7 @@ from .errors import (
     ContractViolationError,
     DiscardRateError,
 )
-from .model import BasisFamily, CoefficientProfile, Rectangle, as_level
+from .model import BasisFamily, CoefficientProfile, Rectangle, _check_sizes, as_level
 from .rng import standard_normal_block
 
 __all__ = [
@@ -110,8 +111,8 @@ class MCEstimate:
     ci_low: float
     ci_high: float
     discarded_trials: int
-    method: str = "companion"
-    fallback_trials: int = 0
+    method: str
+    fallback_trials: int
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +253,25 @@ def _companion_counts_batch(coeff_rows: np.ndarray, level, region: Rectangle):
 
     Returns (counts, discard_mask); rows with vanishing leading coefficient
     or a root near the boundary are flagged for discard.  Rows of degree 0
-    count no zeros.
+    count no zeros.  The companion matrices are built and solved in chunks
+    of at most ``_BLOCK_ENTRIES`` entries (rows x degree^2), so their memory
+    stays bounded whatever the number of rows.
     """
     level = as_level(level)
-    c = np.array(coeff_rows, dtype=np.complex128)
-    c[:, 0] -= level.value
-    bad_leading = c[:, -1] == 0
-    c[bad_leading, -1] = 1.0
-    roots = np.linalg.eigvals(_companion_matrices(c))
-    near_boundary = region.boundary_distance(roots) < _EIGEN_BOUNDARY_TOL
-    discard = bad_leading | np.any(near_boundary, axis=1)
-    counts = np.count_nonzero(region.contains(roots), axis=1)
+    trials, degree = len(coeff_rows), np.shape(coeff_rows)[1] - 1
+    counts = np.zeros(trials, dtype=np.int64)
+    discard = np.zeros(trials, dtype=bool)
+    chunk = max(1, _BLOCK_ENTRIES // max(1, degree) ** 2)
+    for start in range(0, trials, chunk):
+        part = slice(start, start + chunk)
+        c = np.array(coeff_rows[part], dtype=np.complex128)
+        c[:, 0] -= level.value
+        bad_leading = c[:, -1] == 0
+        c[bad_leading, -1] = 1.0
+        roots = np.linalg.eigvals(_companion_matrices(c))
+        near_boundary = region.boundary_distance(roots) < _EIGEN_BOUNDARY_TOL
+        discard[part] = bad_leading | np.any(near_boundary, axis=1)
+        counts[part] = np.count_nonzero(region.contains(roots), axis=1)
     return counts, discard
 
 
@@ -434,15 +443,14 @@ def _root_counts_batch(coeff_rows: np.ndarray, level, region: Rectangle):
     taken from c_0.  Their roots come from ``_aberth_roots`` and are counted
     where ``_certified_counts`` certifies them; both share one scratch
     array.  Every other row, and every row of degree 0 or 1 or with
-    vanishing leading coefficient, goes through ``_companion_counts_batch``
-    with the same shifted coefficients at level 0, which forms the same
-    matrices, in chunks of at most ``_BLOCK_ENTRIES`` companion entries.  A
-    certified root lies more than 1e-9 from the boundary, so the companion
-    counter would keep its trial and count it alike unless an eigenvalue is
-    off by more than 1e-9.
+    vanishing leading coefficient, goes to ``_companion_counts_batch`` in
+    one call, at the same level.  A certified root lies more than 1e-9 from
+    the boundary, so the companion counter would keep its trial and count it
+    alike unless an eigenvalue is off by more than 1e-9.
     """
     level = as_level(level)
-    columns = np.asarray(coeff_rows, dtype=np.complex128).T
+    coeff_rows = np.asarray(coeff_rows, dtype=np.complex128)
+    columns = coeff_rows.T
     degree, trials = columns.shape[0] - 1, columns.shape[1]
     # One line per power, over all trials: c_0 - K, c_1, ..., c_n.
     c = [columns[0] - level.value, *np.ascontiguousarray(columns[1:])]
@@ -460,11 +468,7 @@ def _root_counts_batch(coeff_rows: np.ndarray, level, region: Rectangle):
         counts[tried[ok]] = found[ok]
         del lines, roots, work, scratch  # before the companion matrices
     fallback = np.flatnonzero(~certified)
-    chunk = max(1, _BLOCK_ENTRIES // max(1, degree) ** 2)
-    for start in range(0, fallback.size, chunk):
-        part = fallback[start:start + chunk]
-        shifted = np.stack([line[part] for line in c], axis=1)
-        counts[part], discard[part] = _companion_counts_batch(shifted, 0j, region)
+    counts[fallback], discard[fallback] = _companion_counts_batch(coeff_rows[fallback], level, region)
     return counts, discard, int(fallback.size)
 
 
@@ -533,53 +537,54 @@ def estimate_expected_count(
     trial, and returns the mean with a 95% normal confidence interval over
     kept trials.  ``method``: "companion" (polynomial bases only), "winding",
     or "auto".  Under "auto" a basis that exposes polynomial coefficients is
-    counted by the certified roots counter (``_root_counts_batch``), in
-    blocks of ``_BLOCK_ROOTS // degree`` trials; a trial whose Aberth roots
-    the inclusion-disk certificate does not cover is counted by companion
-    eigenvalues, under the same discard rules, and ``fallback_trials``
-    reports how many.  The estimate then equals the "companion" one unless
-    an eigenvalue is off by more than 1e-9.  Any other basis is counted by
-    the winding counter.  ``method`` on the result names the counter used.
+    counted by the certified roots counter (``_root_counts_batch``); a trial
+    whose Aberth roots the inclusion-disk certificate does not cover is
+    counted by companion eigenvalues, under the same discard rules, and
+    ``fallback_trials`` reports how many.  The estimate then equals the
+    "companion" one unless an eigenvalue is off by more than 1e-9.  Any
+    other basis is counted by the winding counter.  ``method`` on the result
+    names the counter used.  A profile whose size is not ``basis.count``
+    raises ``ConfigurationError``.
 
     Each trial's randomness is a pure function of (seed, trial index), so the
     estimate is reproducible regardless of scheduling; every counter counts
-    blocks of trials on several threads, and the one reduction runs in trial
-    order.  Aborts with ``DiscardRateError`` when at least 1% of trials
-    hit the boundary, which signals that the region boundary passes through a
-    high-density zone.
+    blocks of at most ``_BLOCK_ROOTS // degree`` trials on several threads,
+    and the one reduction runs in trial order.  Aborts with
+    ``DiscardRateError`` when at least 1% of trials hit the boundary, which
+    signals that the region boundary passes through a high-density zone.
     """
+    _check_sizes(profile, basis)
     if trials < 100:
         raise ConfigurationError(f"need at least 100 trials, got {trials}")
     if method not in ("auto", "companion", "winding"):
         raise ConfigurationError(f"unknown method {method!r}")
-    probe = np.zeros(profile.size, dtype=np.complex128)
+    probe = np.zeros(basis.count, dtype=np.complex128)
     polynomial = basis.polynomial_coefficients(probe) is not None
     if method == "companion" and not polynomial:
         raise ConfigurationError("companion counting needs a polynomial basis")
 
-    degree = max(1, profile.size - 1)
+    size = max(1, _BLOCK_ROOTS // max(1, basis.count - 1))
+    blocks = -(-trials // size)
+    if blocks > 1:
+        # As many blocks as a multiple of the workers, so that each worker
+        # counts an equal share.
+        workers = _worker_count()
+        size = -(-trials // (-(-blocks // workers) * workers))
     if not polynomial or method == "winding":
-        counter, size = "winding", _BLOCK_ENTRIES // degree**2
+        counter = "winding"
 
         def count(eta):
             return (*_winding_counts_batch(eta, basis, level, region), 0)
     elif method == "companion":
-        counter, size = "companion", _BLOCK_ENTRIES // degree**2
+        counter = "companion"
 
         def count(eta):
             return (*_companion_counts_batch(basis.polynomial_coefficients(eta), level, region), 0)
     else:
-        counter, size = "roots", max(1, _BLOCK_ROOTS // degree)
-        blocks = -(-trials // size)
-        if blocks > 1:
-            # As many blocks as a multiple of the workers, so that each
-            # worker counts an equal share.
-            workers = _worker_count()
-            size = -(-trials // (-(-blocks // workers) * workers))
+        counter = "roots"
 
         def count(eta):
             return _root_counts_batch(basis.polynomial_coefficients(eta), level, region)
-    size = max(1, size)
 
     def block(first):
         return count(_sample_coefficients(profile, min(size, trials - first), seed, first))

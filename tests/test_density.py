@@ -510,11 +510,21 @@ class TestPowerRoute:
         size = 12_001
         z = np.exp(rng.uniform(np.log(0.05), np.log(8.0), size) + 1j * rng.uniform(0, 2 * np.pi, size))
         evaluate = general_mean_density if means else zero_mean_density
-        got = density._covariance_parts(profile, basis, z, means=means)
+        mu = np.stack((profile.mu_a, profile.mu_b)) if means else None
+
+        def route_forms():
+            forms, mean_sums = density._quadratic_forms(profile, basis, z, mu)
+            if not means:
+                return forms
+            (ea, eb), (ma, mb) = mean_sums
+            ex = ea + 1j * eb
+            return (*forms, ex.real, ex.imag, ma + 1j * mb)
+
+        got = route_forms()
         h_got = evaluate(profile, basis, 1 + 0.5j, z).h
         with monkeypatch.context() as patch:
             patch.setattr(density, "_basis_forms", density._product_forms)
-            ref = density._covariance_parts(profile, basis, z, means=means)
+            ref = route_forms()
             h_ref = evaluate(profile, basis, 1 + 0.5j, z).h
         names = ("y1", "y2", "y3", "det", "d0", "d1", "d2", "d3") + (("ex1", "ex2", "m") if means else ())
         got, ref = dict(zip(names, got)), dict(zip(names, ref))

@@ -96,6 +96,32 @@ class TestCompanionCounter:
         mat = companion_matrix(np.array([6.0, -5.0, 2.0]))
         np.testing.assert_allclose(mat, [[0.0, -3.0], [1.0, 2.5]])
 
+    def test_chunks_count_as_single_rows(self, monkeypatch, rng):
+        # The batch builds its companion matrices in chunks of _BLOCK_ENTRIES
+        # entries.  Patched down to three degree-4 matrices, rows 2 | 3 and
+        # 5 | 6 straddle chunk borders: rows 2 and 3 have a root 1e-10
+        # outside and inside the edge x = 1, rows 5 and 6 a zero leading
+        # coefficient.
+        level, region, degree = 0.3 - 0.2j, Rectangle(-1, 1, -1, 1), 4
+        rows = rng.normal(size=(11, degree + 1)) + 1j * rng.normal(size=(11, degree + 1))
+        for row, x in ((2, 1 + 1e-10), (3, 1 - 1e-10)):
+            others = rng.uniform(-2, 2, degree - 1) + 1j * rng.uniform(-2, 2, degree - 1)
+            rows[row] = np.poly(np.concatenate(([x + 0.3j], others)))[::-1]
+            rows[row, 0] += level
+        rows[5:7, -1] = 0
+        counts, discard = zerocount._companion_counts_batch(rows, level, region)
+        monkeypatch.setattr(zerocount, "_BLOCK_ENTRIES", 3 * degree**2)
+        chunked_counts, chunked_discard = zerocount._companion_counts_batch(rows, level, region)
+        np.testing.assert_array_equal(chunked_counts, counts)
+        np.testing.assert_array_equal(chunked_discard, discard)
+        assert np.array_equal(np.flatnonzero(discard), [2, 3, 5, 6])
+        for row, count, discarded in zip(rows, counts, discard):
+            if discarded:
+                with pytest.raises((BoundaryHitError, ContractViolationError)):
+                    count_zeros_companion(row, level, region)
+            else:
+                assert count_zeros_companion(row, level, region) == count
+
 
 class TestRootsCounter:
     """The certified roots route counts and discards each trial as the companion does."""
@@ -245,6 +271,17 @@ class TestEstimator:
     def test_requires_enough_trials(self):
         with pytest.raises(ConfigurationError):
             estimate_expected_count(CoefficientProfile.iid(3), QUAD, 0j, SQUARE2, trials=50)
+
+    @pytest.mark.parametrize("size", [2, 6])
+    @pytest.mark.parametrize("basis", [QUAD, WeightedMonomialBasis([1.0, 2.0, 3.0])],
+                             ids=["monomial", "weighted"])
+    @pytest.mark.parametrize("method", ["auto", "companion", "winding"])
+    def test_profile_size_must_match_the_basis(self, method, basis, size):
+        # Three basis members against two or six laws: no counter may count
+        # a polynomial of another degree or fail inside numpy.
+        with pytest.raises(ConfigurationError, match="profile has"):
+            estimate_expected_count(CoefficientProfile.iid(size), basis, 0.5 + 0j, SQUARE2,
+                                    trials=200, method=method)
 
     def test_companion_needs_polynomial_basis(self):
         basis = TabulatedBasis([(np.exp, np.exp), (np.cosh, np.sinh)])
