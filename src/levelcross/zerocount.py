@@ -27,10 +27,11 @@ and the ufuncs release the GIL while they compute, but each call takes it
 to start, so threads that make many small calls wait on each other.  The
 roots counter therefore makes few, large calls: its blocks hold up to 2**14
 roots, and each block's Aberth sweeps and certificate reuse one scratch
-array of four entries per root.
-At N = 10, 20 000 trials took 187-250 ms on one thread and 164-189 ms on
-two, where blocks of 2**13 roots with new temporaries every sweep took
-292-420 and 289-337 ms (two sets of interleaved runs on a shared 2-CPU VM).
+array of four entries per root.  A row stops once its corrections are
+small enough for the certificate, not at roundoff (``_STOP_STEP``).  At
+N = 10, 20 000 trials took 162 ms on one thread and 140 ms on two, where
+rows that ran to sixteen units of roundoff took 189 and 158 ms (medians of
+15 interleaved in-process runs on a shared 2-CPU VM).
 The winding counter runs mostly in Python under the GIL.  Block results
 are concatenated in trial order before the one reduction, so an estimate
 is bit-for-bit the same whatever the block size or the number of threads.
@@ -89,6 +90,13 @@ _BLOCK_ROOTS = 2**14
 
 # Aberth sweeps after which a row's roots go to the certificate as they stand.
 _ABERTH_SWEEPS = 60
+
+# A row stops once every correction is at most this factor times the modulus
+# of its root.  Aberth converges cubically, so the next relative error would
+# be about its cube, near 1e-11, far inside the certificate's 2e-9 margin.
+# A larger factor lets more rows stop while two iterates still crowd each
+# other far from any root, and the certificate sends those rows to companion.
+_STOP_STEP = 2.0**-12
 
 # Unit roundoff of float64.
 _U = 2.0**-53
@@ -286,20 +294,26 @@ def _aberth_roots(c, scratch: np.ndarray):
     ``c`` holds the n + 1 lines c_0 ... c_n of length rows, one polynomial
     per column, n >= 2 and c_n != 0.  Each column starts from n points on
     the circle whose radius |c_0 / c_n|^(1/n) is the geometric mean of its
-    root moduli, and all its roots are corrected at once.  Horner runs on
-    ``c`` as it stands: the Newton quotient p / p' does not depend on the
-    scale of the polynomial.  A column stops after ``_ABERTH_SWEEPS``
-    sweeps, or once every correction is within sixteen units of roundoff of
-    its root or a root is no longer finite.
+    root moduli, and all its roots are corrected at once, root i by
+    p / (p' - p pull_i) with pull_i the sum over j != i of 1 / (z_i - z_j):
+    Aberth's correction with one division.  Horner runs on ``c`` as it
+    stands, since the correction does not depend on the scale of the
+    polynomial.  A column stops after ``_ABERTH_SWEEPS`` sweeps, or once a
+    root is no longer finite, or once every correction is at most
+    ``_STOP_STEP`` = 2^-12 times the modulus of its root: the iteration
+    converges cubically, so the roots then lie about 1e-11 (relative) from
+    the true ones, and the certificate, not this rule, decides whether they
+    are counted.
 
     All work happens in the four lines of ``scratch`` (shape (4, n * rows)),
     reused by every sweep.  Two lines take turns holding the iterates of the
-    active columns, packed at the front, and p; one holds p'.  The fourth
+    active columns, packed at the front, and p, which is the scratch of the
+    inverse differences before Horner fills it; one holds p'.  The fourth
     collects the roots of stopped columns, one column per n entries in the
-    order they stop, and its free tail holds the sum of inverse differences.
-    Returns (roots, work): the roots with shape (n, rows), one root per line,
-    so that per-column values broadcast along contiguous lines, and the
-    three other lines, free for the certificate.
+    order they stop, and its free tail holds the pull and then the
+    denominator p' - p pull.  Returns (roots, work): the roots with shape
+    (n, rows), one root per line, so that per-column values broadcast along
+    contiguous lines, and the three other lines, free for the certificate.
     """
     degree, total = len(c) - 1, len(c[0])
     z_line, p_line, dp_line, stopped_line = scratch
@@ -321,6 +335,17 @@ def _aberth_roots(c, scratch: np.ndarray):
         if active.size == 0:
             break
         p, dp, pull = view(p_line), view(dp_line), view(stopped_line, degree * count)
+        # pull_i = sum over j != i of 1/(z_i - z_j), each pair formed once in
+        # the p line before Horner fills it.
+        for j in range(degree - 1):
+            inverse = np.subtract(z[j + 1:], z[j], out=p[j + 1:])
+            np.reciprocal(inverse, out=inverse)
+            if j == 0:
+                pull[1:] = inverse
+                np.negative(inverse.sum(axis=0), out=pull[0])
+            else:
+                pull[j + 1:] += inverse
+                pull[j] -= inverse.sum(axis=0)
         np.copyto(dp, coefficient(degree))
         np.multiply(z, dp, out=p)
         p += coefficient(degree - 1)
@@ -329,27 +354,16 @@ def _aberth_roots(c, scratch: np.ndarray):
             dp += p
             p *= z
             p += coefficient(k)
-        newton = np.divide(p, dp, out=p)
-        # pull_i = sum over j != i of 1/(z_i - z_j), each pair formed once.
-        for j in range(degree - 1):
-            inverse = np.subtract(z[j + 1:], z[j], out=dp[j + 1:])
-            np.reciprocal(inverse, out=inverse)
-            if j == 0:
-                pull[1:] = inverse
-                np.negative(inverse.sum(axis=0), out=pull[0])
-            else:
-                pull[j + 1:] += inverse
-                pull[j] -= inverse.sum(axis=0)
-        # The Aberth correction newton / (1 - newton * pull), in place.
-        np.multiply(newton, pull, out=pull)
-        np.subtract(1.0, pull, out=pull)
-        step = np.divide(newton, pull, out=newton)
+        # The Aberth correction p / (p' - p * pull), in place.
+        np.multiply(p, pull, out=pull)
+        np.subtract(dp, pull, out=pull)
+        step = np.divide(p, pull, out=p)
         z -= step
-        # |step| and 16 u |z| in the two real halves of the spent p' line.
+        # |step| and _STOP_STEP |z| in the two real halves of the spent p' line.
         halves = dp_line.view(np.float64)[:2 * z.size].reshape(2, *z.shape)
         np.abs(step, out=halves[0])
         np.abs(z, out=halves[1])
-        halves[1] *= 16.0 * _U
+        halves[1] *= _STOP_STEP
         done = np.all(halves[0] <= halves[1], axis=0)
         done |= ~np.all(np.isfinite(z), axis=0)
         if done.any():

@@ -161,6 +161,12 @@ class TestRootsCounter:
             # the certificate must take almost every row.
             assert fallback == trials if degree == 1 else fallback <= trials // 50
 
+    def test_seeded_block_above_degree_40_matches_companion(self):
+        model_profile, basis = self.PROFILES["iid"](80)
+        eta = zerocount._sample_coefficients(model_profile, 24, 80)
+        rows = basis.polynomial_coefficients(eta)
+        assert self.assert_counted_alike(rows, self.LEVEL, self.REGIONS[2]) <= 1
+
     @staticmethod
     def planted(roots, rng, extra=6):
         """Rows of the monic polynomials with the given roots plus random ones."""
@@ -170,7 +176,9 @@ class TestRootsCounter:
             rows.append(np.poly(np.concatenate([planted_roots, others]))[::-1])
         return np.array(rows)
 
-    @pytest.mark.parametrize("gap", [1e-10, 1e-6, 1e-3])
+    # 3e-9 and 1e-8 lie just outside the certificate's 2e-9 margin, where a
+    # looser Aberth stop would first show up as larger disks.
+    @pytest.mark.parametrize("gap", [1e-10, 3e-9, 1e-8, 1e-6, 1e-3])
     def test_root_near_an_edge(self, gap, rng):
         region = Rectangle(-1, 1, -1, 1)
         # Inside the right edge, below the bottom edge, above the top edge.
