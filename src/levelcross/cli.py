@@ -41,6 +41,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -382,9 +383,11 @@ def _quadrature_record(result: QuadratureResult, fold_weight: int) -> dict:
     """JSON fields of a quadrature result, as ``expect`` and ``compare`` write them.
 
     ``diagnostics`` says how the result was obtained: the cells over the
-    whole region and how many of them are not finite, the refinement passes
-    and integrand evaluations that actually ran, and the fold weight, the
-    number of copies of the kept part (see ``_integrate_region``).
+    whole region, how many of them are not finite and how many carry the
+    Gauss error because their coefficients failed the decay test (see
+    ``quadrature``), the refinement passes and integrand evaluations
+    that actually ran, and the fold weight, the number of copies of the
+    kept part (see ``_integrate_region``).
     """
     return {
         "value": result.value,
@@ -396,6 +399,7 @@ def _quadrature_record(result: QuadratureResult, fold_weight: int) -> dict:
             "evaluations": result.evaluations,
             "fold_weight": fold_weight,
             "nonfinite_cells": result.nonfinite_cells,
+            "fallback_cells": result.fallback_cells,
         },
     }
 
@@ -477,24 +481,33 @@ def _integrate_region(config: RunConfig, model) -> tuple[QuadratureResult, int]:
     it would over the whole region.  The value, error estimate and cell
     counts are scaled back by the weight, while ``evaluations`` and
     ``passes`` are those actually run.  A cell budget below the weight
-    integrates h over the whole region.  ``model`` is what
-    ``config.build()`` returned.  Returns the result and the weight.
+    integrates h over the whole region.  numpy's warnings from the
+    evaluator are held back while it runs, and shown only if no cell is
+    non-finite: otherwise ``nonfinite_cells`` already reports the overflow.
+    ``model`` is what ``config.build()`` returned.  Returns the result and
+    the weight.
     """
     part, weight = _fundamental_region(*model)
     if config.max_cells < weight:
         part, weight = model[3], 1
     field, _ = config.density_field(model, mirror=weight > 1)
-    result = integrate_density(
-        field, part,
-        abs_tol=config.abs_tol / weight, rel_tol=config.rel_tol,
-        max_cells=config.max_cells // weight,
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        result = integrate_density(
+            field, part,
+            abs_tol=config.abs_tol / weight, rel_tol=config.rel_tol,
+            max_cells=config.max_cells // weight,
+        )
+    if not result.nonfinite_cells:
+        for caught_warning in caught:
+            warnings.showwarning(caught_warning.message, caught_warning.category,
+                                 caught_warning.filename, caught_warning.lineno)
     return replace(
         result,
         value=weight * result.value,
         error_estimate=weight * result.error_estimate,
         cells_used=weight * result.cells_used,
         nonfinite_cells=weight * result.nonfinite_cells,
+        fallback_cells=weight * result.fallback_cells,
     ), weight
 
 

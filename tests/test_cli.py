@@ -1,6 +1,7 @@
 """CLI: configuration handling, output schemas, exit codes."""
 
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -144,7 +145,7 @@ class TestScalarCommands:
         assert abs(payload["value"] - 1.142127071) < 1e-6
         diagnostics = payload["diagnostics"]
         assert set(diagnostics) == {"cells_used", "passes", "evaluations", "fold_weight",
-                                    "nonfinite_cells"}
+                                    "nonfinite_cells", "fallback_cells"}
         assert diagnostics["evaluations"] % 225 == 0 and diagnostics["evaluations"] > 0
         assert diagnostics["fold_weight"] == 4 and diagnostics["nonfinite_cells"] == 0
 
@@ -222,6 +223,29 @@ class TestScalarCommands:
         assert diagnostics["fold_weight"] == 4
         assert 0 < diagnostics["nonfinite_cells"] <= diagnostics["cells_used"]
 
+    def test_reported_overflow_stays_off_stderr(self, capsys):
+        # The overflow is reported as non-finite cells, so numpy's warnings
+        # about it are not repeated on stderr.
+        argv = ["expect", "--degree", "80", "--theorem", "2", "--k1", "1", "--k2", "0.5",
+                "--x-min=-20", "--x-max=20", "--y-min=-20", "--y-max=20"]
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv, capsys)
+        assert (code, err, shown) == (6, "", [])
+        assert json.loads(out)["diagnostics"]["nonfinite_cells"] == 4
+
+    def test_warnings_of_a_finite_result_are_shown(self, capsys, monkeypatch):
+        def warn_and_integrate(*args, **kwargs):
+            warnings.warn("evaluator warning", RuntimeWarning)
+            return integrate_density(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate_density", warn_and_integrate)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(["expect", "--degree", "2"], capsys)
+        assert code == 0
+        assert [str(w.message) for w in shown] == ["evaluator warning"]
+
     def test_non_finite_numbers_are_written_as_null(self, capsys, monkeypatch):
         # Strict JSON (RFC 8259) has no NaN or Infinity literal.
         def reject(token):
@@ -236,7 +260,8 @@ class TestScalarCommands:
         # The stub's one cell, scaled by the quadrant fold's weight 4.
         assert payload == {"value": None, "error_estimate": None, "converged": False,
                            "diagnostics": {"cells_used": 4, "passes": 0, "evaluations": 0,
-                                           "fold_weight": 4, "nonfinite_cells": 0}}
+                                           "fold_weight": 4, "nonfinite_cells": 0,
+                                           "fallback_cells": 0}}
 
         code, out, _ = run_cli(["compare", "--degree", "2", "--trials", "400"], capsys)
         assert code == 2
