@@ -19,14 +19,11 @@ line endings, with null for any non-finite number; CSV grids carry
 
 ``--theorem`` selects the closed form: 2 = zero means with per-index
 variances, 3 = one common variance, 4 = arbitrary means, 5 = Brownian
-prefix basis; ``auto`` picks by profile shape.  ``expect`` and ``compare``
-integrate over the part of the region that the exact symmetries map onto
-the rest, and scale the result back (``_fundamental_region``).  A region
-symmetric about the real axis keeps y >= 0 and integrates the
-conjugate-pair mean (h(z) + h(conj z)) / 2, which needs no symmetry of h
-itself: h at conj z is h of the conjugate law (conj mu, conj K) at z, and
-both share the quadratic forms at z.  A monomial basis with zero odd-index
-means on a region symmetric about 0 also folds z -> -z and keeps a quadrant.
+prefix basis; ``auto`` picks by the model (``density_field``).  ``expect``
+and ``compare`` report ``expected_count``, which integrates h over the part
+of the region that the exact symmetries map onto the rest and scales the
+result back (``_fundamental_region``).  Both take model objects, so a library
+caller gets the same choice and folds (``from levelcross.cli import ...``).
 
 Exit codes: 0 success; 2 configuration error, contract violation or (for
 ``compare``) no agreement; 3 degenerate evaluation; 4 degenerate grid cells
@@ -67,6 +64,7 @@ from .model import (
     CoefficientProfile,
     ComplexLevel,
     MonomialBasis,
+    PrefixSumBasis,
     Rectangle,
     TimeGrid,
     WeightedMonomialBasis,
@@ -173,42 +171,126 @@ class RunConfig:
         )
         return profile, basis, level, region
 
-    def select_theorem(self, profile: CoefficientProfile) -> str:
-        if self.theorem != "auto":
-            return self.theorem
-        if self.basis == "brownian-prefix":
-            return "5"
+    def density_field(self):
+        """Return (callable z -> h, theorem label) for the built model; see ``density_field``."""
+        return density_field(*self.build()[:3], self.theorem)
+
+
+# ---------------------------------------------------------------------------
+# Closed form and expected count of a model
+# ---------------------------------------------------------------------------
+
+
+def density_field(profile, basis, level, theorem: str = "auto", mirror: bool = False):
+    """Return (callable z -> h, theorem label) for the closed form ``theorem``.
+
+    ``auto`` picks "4" for a profile with means, else "5" on a
+    ``PrefixSumBasis``, else "3" for one common variance, else "2".
+    Theorem 5 is theorem 2 on the prefix basis and increment profile.
+    With ``mirror`` the callable returns the conjugate-pair mean
+    (h(z) + h(conj z)) / 2; theorem 3's h is already symmetric under
+    z -> conj z, since it reads K only through |K|^2, and stays plain.
+    The evaluators here and ``integrate_density`` in ``expected_count`` are
+    looked up as module globals at each call: the benchmark's tracer patches
+    them by these names.
+    """
+    sigma2 = profile.equal_variance()
+    if theorem == "auto":
         if not profile.has_zero_means:
-            return "4"
-        if profile.equal_variance() is not None:
-            return "3"
-        return "2"
+            theorem = "4"
+        elif isinstance(basis, PrefixSumBasis):
+            theorem = "5"
+        else:
+            theorem = "2" if sigma2 is None else "3"
+    if theorem == "5" and not isinstance(basis, PrefixSumBasis):
+        raise ConfigurationError("theorem 5 needs the brownian-prefix basis")
+    if theorem == "4":
+        return (lambda z: general_mean_density(profile, basis, level, z, mirror=mirror).h), theorem
+    if theorem == "3" and sigma2 is None:
+        raise ConfigurationError("theorem 3 requires one common variance")
+    if not profile.has_zero_means:
+        raise ConfigurationError(f"theorem {theorem} requires zero means")
+    if theorem == "3":
+        return (lambda z: equal_variance_density(sigma2, basis, level, z).h), theorem
+    return (lambda z: zero_mean_density(profile, basis, level, z, mirror=mirror).h), theorem
 
-    def density_field(self, model=None, mirror: bool = False):
-        """Return (callable z -> h, selected theorem label).
 
-        ``model`` is what ``build()`` returned; without it the model is built.
-        Theorem 5 is theorem 2 on the prefix basis and increment profile.
-        With ``mirror`` the callable returns the conjugate-pair mean
-        (h(z) + h(conj z)) / 2; theorem 3's h is already symmetric under
-        z -> conj z, since it reads K only through |K|^2, and stays plain.
-        """
-        profile, basis, level, _ = model or self.build()
-        which = self.select_theorem(profile)
-        if which == "5" and self.basis != "brownian-prefix":
-            raise ConfigurationError("theorem 5 needs the brownian-prefix basis")
-        if which == "4":
-            return (
-                lambda z: general_mean_density(profile, basis, level, z, mirror=mirror).h
-            ), which
-        if which == "3":
-            sigma2 = profile.equal_variance()
-            if sigma2 is None:
-                raise ConfigurationError("theorem 3 requires one common variance")
-            if not profile.has_zero_means:
-                raise ConfigurationError("theorem 3 requires zero means")
-            return (lambda z: equal_variance_density(sigma2, basis, level, z).h), which
-        return (lambda z: zero_mean_density(profile, basis, level, z, mirror=mirror).h), which
+def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Rectangle, int]:
+    """The part of ``region`` that the exact symmetries of h map onto all of it.
+
+    Returns (fundamental region, weight): the integral of h over ``region``
+    is ``weight`` times the integral over the fundamental region of h itself
+    (weight 1) or of the conjugate-pair mean (h(z) + h(conj z)) / 2
+    (weight 2 or 4).
+
+    - Conjugate fold: every basis family is real on the real axis, so
+      conj S(conj z) = sum conj(eta_j) f_j(z), and h for the law mu at K
+      satisfies h(conj z) = h for conj mu at conj K, at z.  Over a region
+      symmetric about the real axis the integral of h is twice that of the
+      pair mean over y >= 0, whatever the means and the level.
+    - Point fold, h(-z) = h(z): a monomial family (``MonomialBasis`` and
+      its subclass ``WeightedMonomialBasis``) has f_j(-z) = (-1)^j f_j(z),
+      so the law of S - K is invariant under z -> -z when every odd-index
+      mean is zero; the conjugate law then is too.  The region must be
+      symmetric about 0, hence also about the real axis, and the pair mean
+      keeps the point symmetry: the quadrant x >= 0, y >= 0 carries a
+      quarter of the integral.
+
+    The kept quadrant is a cell of the quadrature's tree over ``region``,
+    whatever the region's shape: a cell centred on an axis is cut on it, x
+    first, and only bisected.  So is the kept half y >= 0 when
+    ``x_min != -x_max``.  Where the pair mean is h itself, the folded run
+    then refines its part exactly as the unfolded run refines each copy.
+    """
+    x0, x1, y0, y1 = region.x_min, region.x_max, region.y_min, region.y_max
+    conjugate = y0 == -y1
+    if conjugate and x0 == -x1 and isinstance(basis, MonomialBasis) and not (
+            np.any(profile.mu_a[1::2]) or np.any(profile.mu_b[1::2])):
+        return Rectangle(0.0, x1, 0.0, y1), 4
+    if conjugate:
+        return Rectangle(x0, x1, 0.0, y1), 2
+    return region, 1
+
+
+def expected_count(
+    profile, basis, level, region: Rectangle, *, theorem: str = "auto",
+    abs_tol: float = 1e-9, rel_tol: float = 1e-9, max_cells: int = 20000,
+) -> tuple[QuadratureResult, str, int]:
+    """Integrate h over ``region``: the expected number of zeros of S - K there.
+
+    The run covers the fundamental region of ``_fundamental_region``, where it
+    integrates the conjugate-pair mean of h (``density_field(mirror=True)``):
+    its two terms share one table of basis values and one set of quadratic
+    forms per point, and where the law is its own conjugate (every mu_b zero
+    and K real, or theorem 3) it is h, bit for bit.  It uses ``abs_tol /
+    weight``, the same ``rel_tol`` and ``max_cells // weight``, so a cell's
+    share of the tolerance reads as over the whole region, and scales the
+    value, error estimate and cell counts back by the weight; ``evaluations``
+    and ``passes`` are those that ran.  A cell budget below the weight
+    integrates h over the whole region.  numpy's warnings from the evaluator
+    are held back, and shown only if no cell is non-finite: otherwise
+    ``nonfinite_cells`` reports the overflow.  Returns the result, the
+    theorem that ran and the weight.
+    """
+    part, weight = _fundamental_region(profile, basis, level, region)
+    if max_cells < weight:
+        part, weight = region, 1
+    field, theorem = density_field(profile, basis, level, theorem, mirror=weight > 1)
+    with warnings.catch_warnings(record=True) as caught:
+        result = integrate_density(field, part, abs_tol=abs_tol / weight, rel_tol=rel_tol,
+                                   max_cells=max_cells // weight)
+    if not result.nonfinite_cells:
+        for caught_warning in caught:
+            warnings.showwarning(caught_warning.message, caught_warning.category,
+                                 caught_warning.filename, caught_warning.lineno)
+    return replace(
+        result,
+        value=weight * result.value,
+        error_estimate=weight * result.error_estimate,
+        cells_used=weight * result.cells_used,
+        nonfinite_cells=weight * result.nonfinite_cells,
+        fallback_cells=weight * result.fallback_cells,
+    ), theorem, weight
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +461,15 @@ def cmd_density(config: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _quadrature_record(result: QuadratureResult, fold_weight: int) -> dict:
+def _quadrature_record(result: QuadratureResult, theorem: str, fold_weight: int) -> dict:
     """JSON fields of a quadrature result, as ``expect`` and ``compare`` write them.
 
     ``diagnostics`` says how the result was obtained: the cells over the
     whole region, how many of them are not finite and how many carry the
     Gauss error because their coefficients failed the decay test (see
     ``quadrature``), the refinement passes and integrand evaluations
-    that actually ran, and the fold weight, the number of copies of the
-    kept part (see ``_integrate_region``).
+    that actually ran, the fold weight, the number of copies of the kept
+    part, and the closed form that ran (see ``expected_count``).
     """
     return {
         "value": result.value,
@@ -398,6 +480,7 @@ def _quadrature_record(result: QuadratureResult, fold_weight: int) -> dict:
             "passes": result.passes,
             "evaluations": result.evaluations,
             "fold_weight": fold_weight,
+            "theorem": theorem,
             "nonfinite_cells": result.nonfinite_cells,
             "fallback_cells": result.fallback_cells,
         },
@@ -424,97 +507,12 @@ def _mc_record(estimate: MCEstimate) -> dict:
     }
 
 
-def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Rectangle, int]:
-    """The part of ``region`` that the exact symmetries of h map onto all of it.
-
-    Returns (fundamental region, weight): the integral of h over ``region``
-    is ``weight`` times the integral over the fundamental region of h itself
-    (weight 1) or of the conjugate-pair mean (h(z) + h(conj z)) / 2
-    (weight 2 or 4).
-
-    - Conjugate fold: every CLI basis is real on the real axis, so
-      conj S(conj z) = sum conj(eta_j) f_j(z), and h for the law mu at K
-      satisfies h(conj z) = h for conj mu at conj K, at z.  Over a region
-      symmetric about the real axis the integral of h is twice that of the
-      pair mean over y >= 0, whatever the means and the level.
-    - Point fold, h(-z) = h(z): a monomial family (``MonomialBasis`` and
-      its subclass ``WeightedMonomialBasis``) has f_j(-z) = (-1)^j f_j(z),
-      so the law of S - K is invariant under z -> -z when every odd-index
-      mean is zero; the conjugate law then is too.  The region must be
-      symmetric about 0, hence also about the real axis, and the pair mean
-      keeps the point symmetry: the quadrant x >= 0, y >= 0 carries a
-      quarter of the integral.
-
-    The kept quadrant is a cell of the quadrature's tree over ``region``,
-    whatever the region's shape: a cell centred on an axis is cut on it, x
-    first, and only bisected.  So is the kept half y >= 0 when
-    ``x_min != -x_max``.  Where the pair mean is h itself, the folded run
-    then refines its part exactly as the unfolded run refines each copy.
-    """
-    x0, x1, y0, y1 = region.x_min, region.x_max, region.y_min, region.y_max
-    conjugate = y0 == -y1
-    point = (
-        conjugate
-        and x0 == -x1
-        and isinstance(basis, MonomialBasis)
-        and not np.any(profile.mu_a[1::2])
-        and not np.any(profile.mu_b[1::2])
-    )
-    if point:
-        return Rectangle(0.0, x1, 0.0, y1), 4
-    if conjugate:
-        return Rectangle(x0, x1, 0.0, y1), 2
-    return region, 1
-
-
-def _integrate_region(config: RunConfig, model) -> tuple[QuadratureResult, int]:
-    """Integrate h over the region, as ``expect`` and ``compare`` report it.
-
-    The integrand over the fundamental region of ``_fundamental_region`` is
-    the conjugate-pair mean of h (``density_field(mirror=True)``): one table
-    of basis values and one set of quadratic forms per point serve both of
-    its terms, and only the assembly of h is repeated, at conj K (and, with
-    means, conj mu).  Where the law is already invariant under conjugation
-    (every mu_b zero and K real, or theorem 3), the pair mean is h itself,
-    bit for bit.  The run uses ``abs_tol / weight``, the same ``rel_tol``
-    and ``max_cells // weight``, so a cell's share of the tolerance reads as
-    it would over the whole region.  The value, error estimate and cell
-    counts are scaled back by the weight, while ``evaluations`` and
-    ``passes`` are those actually run.  A cell budget below the weight
-    integrates h over the whole region.  numpy's warnings from the
-    evaluator are held back while it runs, and shown only if no cell is
-    non-finite: otherwise ``nonfinite_cells`` already reports the overflow.
-    ``model`` is what ``config.build()`` returned.  Returns the result and
-    the weight.
-    """
-    part, weight = _fundamental_region(*model)
-    if config.max_cells < weight:
-        part, weight = model[3], 1
-    field, _ = config.density_field(model, mirror=weight > 1)
-    with warnings.catch_warnings(record=True) as caught:
-        result = integrate_density(
-            field, part,
-            abs_tol=config.abs_tol / weight, rel_tol=config.rel_tol,
-            max_cells=config.max_cells // weight,
-        )
-    if not result.nonfinite_cells:
-        for caught_warning in caught:
-            warnings.showwarning(caught_warning.message, caught_warning.category,
-                                 caught_warning.filename, caught_warning.lineno)
-    return replace(
-        result,
-        value=weight * result.value,
-        error_estimate=weight * result.error_estimate,
-        cells_used=weight * result.cells_used,
-        nonfinite_cells=weight * result.nonfinite_cells,
-        fallback_cells=weight * result.fallback_cells,
-    ), weight
-
-
 def cmd_expect(config: RunConfig, out_path: str | None) -> int:
     """Integrate h over the region; exit 6 when the quadrature did not converge."""
-    result, weight = _integrate_region(config, config.build())
-    _json_dump(_quadrature_record(result, weight), out_path)
+    result, theorem, weight = expected_count(
+        *config.build(), theorem=config.theorem, abs_tol=config.abs_tol,
+        rel_tol=config.rel_tol, max_cells=config.max_cells)
+    _json_dump(_quadrature_record(result, theorem, weight), out_path)
     return 0 if result.converged else 6
 
 
@@ -532,7 +530,9 @@ def cmd_compare(config: RunConfig, out_path: str | None) -> int:
     error estimate.
     """
     model = config.build()
-    quad, weight = _integrate_region(config, model)
+    quad, theorem, weight = expected_count(
+        *model, theorem=config.theorem, abs_tol=config.abs_tol,
+        rel_tol=config.rel_tol, max_cells=config.max_cells)
     mc = estimate_expected_count(*model, trials=config.trials, seed=config.seed)
     diff = quad.value - mc.mean
     # Degenerate CI (all counts identical) has no finite z-score; report null.
@@ -544,7 +544,7 @@ def cmd_compare(config: RunConfig, out_path: str | None) -> int:
     )
     _json_dump(
         {
-            "quadrature": _quadrature_record(quad, weight),
+            "quadrature": _quadrature_record(quad, theorem, weight),
             "mc": _mc_record(mc),
             "z_score": None if z_score is None else float(z_score),
             "agree": bool(agree),

@@ -31,6 +31,7 @@ from levelcross import (
     zero_level_density,
     zero_mean_density,
 )
+from levelcross.cli import density_field
 from conftest import disk_point, rel_dev
 
 
@@ -220,15 +221,6 @@ def _mc_grid_configs():
     return grid
 
 
-def _density_field(profile, basis, level):
-    sigma2 = profile.equal_variance()
-    if not profile.has_zero_means:
-        return lambda z: general_mean_density(profile, basis, level, z).h
-    if sigma2 is not None:
-        return lambda z: equal_variance_density(sigma2, basis, level, z).h
-    return lambda z: zero_mean_density(profile, basis, level, z).h
-
-
 def test_criterion_4_mc_quadrature_agreement():
     start = time.perf_counter()
     basis = MonomialBasis(2)
@@ -239,7 +231,7 @@ def test_criterion_4_mc_quadrature_agreement():
         profile = CoefficientProfile(
             mu * np.ones(3), variances["var_a"], mu * np.ones(3), variances["var_b"]
         )
-        quad = integrate_density(_density_field(profile, basis, level), region, 1e-7, 1e-7)
+        quad = integrate_density(density_field(profile, basis, level)[0], region, 1e-7, 1e-7)
         mc = estimate_expected_count(profile, basis, level, region,
                                      trials=10000, seed=2024 + i)
         z_scores.append((quad.value - mc.mean) / mc.std_error)

@@ -1,5 +1,7 @@
 """CLI: configuration handling, output schemas, exit codes."""
 
+import contextlib
+import io
 import json
 import warnings
 from dataclasses import fields
@@ -11,13 +13,24 @@ from levelcross import cli
 from levelcross.cli import (
     RunConfig,
     config_from_mapping,
+    density_field,
     emit_flat_config,
+    expected_count,
     main,
     parse_flat_config,
 )
 from levelcross.density import zero_mean_density
 from levelcross.errors import ConfigurationError
-from levelcross.model import ComplexLevel, MonomialBasis, TimeGrid, build_brownian_basis
+from levelcross.model import (
+    CoefficientProfile,
+    ComplexLevel,
+    MonomialBasis,
+    Rectangle,
+    TabulatedBasis,
+    TimeGrid,
+    build_brownian_basis,
+    validate_basis,
+)
 from levelcross.quadrature import QuadratureResult, integrate_density
 
 
@@ -79,8 +92,8 @@ class TestFlatConfig:
         ]
         for mapping, expected in cases:
             config = config_from_mapping(mapping)
-            profile, _, _, _ = config.build()
-            assert config.select_theorem(profile) == expected
+            profile, basis, level, _ = config.build()
+            assert density_field(profile, basis, level)[1] == expected
 
 
 class TestDensityCommand:
@@ -145,7 +158,7 @@ class TestScalarCommands:
         assert abs(payload["value"] - 1.142127071) < 1e-6
         diagnostics = payload["diagnostics"]
         assert set(diagnostics) == {"cells_used", "passes", "evaluations", "fold_weight",
-                                    "nonfinite_cells", "fallback_cells"}
+                                    "theorem", "nonfinite_cells", "fallback_cells"}
         assert diagnostics["evaluations"] % 225 == 0 and diagnostics["evaluations"] > 0
         assert diagnostics["fold_weight"] == 4 and diagnostics["nonfinite_cells"] == 0
 
@@ -260,8 +273,8 @@ class TestScalarCommands:
         # The stub's one cell, scaled by the quadrant fold's weight 4.
         assert payload == {"value": None, "error_estimate": None, "converged": False,
                            "diagnostics": {"cells_used": 4, "passes": 0, "evaluations": 0,
-                                           "fold_weight": 4, "nonfinite_cells": 0,
-                                           "fallback_cells": 0}}
+                                           "fold_weight": 4, "theorem": "3",
+                                           "nonfinite_cells": 0, "fallback_cells": 0}}
 
         code, out, _ = run_cli(["compare", "--degree", "2", "--trials", "400"], capsys)
         assert code == 2
@@ -314,8 +327,15 @@ def _floats(values):
 
 
 def folded_and_full(argv, monkeypatch):
-    """(``expect``'s result, points it evaluated, unfolded result over the region)."""
+    """(``expected_count``'s result, points it evaluated, unfolded result over the region).
+
+    The result is the library's ``expected_count`` on the model of ``argv``,
+    checked against what ``expect`` writes for ``argv``.
+    """
     config = cli.resolve_config(cli.build_parser().parse_args(argv))
+    written = io.StringIO()
+    with contextlib.redirect_stdout(written):
+        main(argv)
     points = []
     inner = cli.integrate_density
 
@@ -327,8 +347,13 @@ def folded_and_full(argv, monkeypatch):
 
     monkeypatch.setattr(cli, "integrate_density", counting)
     model = config.build()
-    folded, _ = cli._integrate_region(config, model)
-    field, _ = config.density_field(model)
+    folded, _, _ = expected_count(*model, theorem=config.theorem, abs_tol=config.abs_tol,
+                                  rel_tol=config.rel_tol, max_cells=config.max_cells)
+    record = json.loads(written.getvalue())
+    assert (record["value"], record["error_estimate"], record["diagnostics"]["cells_used"],
+            record["diagnostics"]["evaluations"]) == (
+        folded.value, folded.error_estimate, folded.cells_used, folded.evaluations)
+    field, _ = density_field(*model[:3], config.theorem)
     full = integrate_density(field, model[3], abs_tol=config.abs_tol,
                              rel_tol=config.rel_tol, max_cells=config.max_cells)
     return folded, sum(points), full
@@ -449,6 +474,56 @@ class TestSymmetryFold:
         assert not (folded.converged or full.converged)
         assert folded.cells_used == full.cells_used == 8
         assert folded.value == pytest.approx(full.value, rel=1e-15)
+
+
+def monomial_callbacks(degree):
+    """``TabulatedBasis`` callback pairs for z^j, j = 0..degree."""
+    return [(lambda z, j=j: z**j, lambda z, j=j: j * z ** max(j - 1, 0))
+            for j in range(degree + 1)]
+
+
+class TestLibraryEntryPoints:
+    LEVEL = ComplexLevel(1.0, 0.5)
+    REGION = Rectangle(-1.5, 1.5, -1.5, 1.5)
+
+    @pytest.mark.parametrize("mu_a, theorem", [(0.0, "2"), ([0.3, 0.0, -0.5, 0.0, 0.2], "4")],
+                             ids=["zero-means", "even-index-means"])
+    def test_tabulated_basis_takes_the_conjugate_fold_only(self, mu_a, theorem):
+        # No CLI command reaches a TabulatedBasis, whose quadratic forms come
+        # from the value and derivative tables.  It folds about the real axis
+        # only (the BasisFamily real-on-real contract), where the monomial
+        # family of the same sums also folds z -> -z.
+        profile = CoefficientProfile(mu_a, [1.0, 2.0, 0.5, 1.5, 1.0], 0.0,
+                                     [0.5, 1.0, 2.0, 1.0, 1.5])
+        tabulated = TabulatedBasis(monomial_callbacks(4))
+        validate_basis(tabulated)
+        tol = 1e-9
+        runs = [expected_count(profile, basis, self.LEVEL, self.REGION,
+                               abs_tol=tol, rel_tol=tol)
+                for basis in (tabulated, MonomialBasis(4))]
+        (table, table_theorem, table_weight), (power, power_theorem, power_weight) = runs
+        assert (table_theorem, table_weight) == (theorem, 2)
+        assert (power_theorem, power_weight) == (theorem, 4)
+        assert table.converged and power.converged
+        assert abs(table.value - power.value) <= max(tol, tol * abs(power.value))
+
+    def test_prefix_basis_with_means_selects_theorem_4(self):
+        basis, increments = build_brownian_basis(MonomialBasis(2), TimeGrid((0.5, 1.5, 3.0)))
+        with_means = CoefficientProfile(0.3, increments.var_a, -0.2, increments.var_b)
+        assert density_field(increments, basis, self.LEVEL)[1] == "5"
+        assert density_field(with_means, basis, self.LEVEL)[1] == "4"
+        with pytest.raises(ConfigurationError, match="^theorem 5 requires zero means$"):
+            density_field(with_means, basis, self.LEVEL, "5")
+
+    @pytest.mark.parametrize("theorem, message", [
+        ("2", "theorem 2 requires zero means"),
+        ("3", "theorem 3 requires zero means"),
+        ("5", "theorem 5 needs the brownian-prefix basis"),
+    ])
+    def test_forced_theorem_with_means_names_the_theorem(self, theorem, message, capsys):
+        code, out, err = run_cli(["expect", "--degree", "2", "--mu-a", "0.5",
+                                  "--theorem", theorem], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def resolve(argv):

@@ -81,3 +81,20 @@ def test_traced_expect_on_a_point_symmetric_problem(capsys):
     assert tracer.counts["quadrature.evals"] > 0
     assert tracer.counts["quadrature.cells"] > 0
     assert tracer.counts["density.points"] > 0
+
+
+def test_traced_library_expected_count():
+    # A library caller of ``cli.expected_count`` goes through the same patched
+    # ``cli`` names as ``expect``: one quadrature span, and density calls.
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        result, theorem, weight = tracer.run_op(0, lambda: cli.expected_count(
+            CoefficientProfile.iid(3, mu_a=0.5), MonomialBasis(2), 1 + 0.5j,
+            Rectangle(-1, 1, -1, 1), abs_tol=1e-8, rel_tol=1e-8))
+    finally:
+        tracer.uninstall()
+    assert result.converged and (theorem, weight) == ("4", 2)
+    quadrature_spans = [span for span in tracer.spans if span[0] == "quadrature"]
+    assert len(quadrature_spans) == 1
+    assert tracer.counts["density.calls"] > 0
