@@ -26,9 +26,9 @@ result back (``_fundamental_region``).  Both take model objects, so a library
 caller gets the same choice and folds (``from levelcross.cli import ...``).
 
 Exit codes: 0 success; 2 configuration error, contract violation or (for
-``compare``) no agreement; 3 degenerate evaluation; 4 degenerate grid cells
-in ``density``; 5 too many Monte Carlo trials hit the region boundary; 6
-``expect`` wrote its result but the quadrature did not converge.
+``compare``) no agreement; 3 degenerate evaluation; 4 degenerate or non-finite
+grid cells in ``density``; 5 too many Monte Carlo trials hit the region
+boundary; 6 ``expect`` wrote its result but the quadrature did not converge.
 """
 
 from __future__ import annotations
@@ -432,31 +432,33 @@ def _json_dump(payload: dict, out_path: str | None) -> None:
     _write_output(text + "\n", out_path)
 
 
+def _cells_or_nan(field, cells: np.ndarray) -> np.ndarray:
+    """h at the 1-D ``cells``, nan where it is undefined.
+
+    A block that raises is halved, down to single cells, so one degenerate
+    cell costs about 2 log2(cells) calls instead of one call per cell.
+    """
+    try:
+        return np.asarray(field(cells), dtype=np.float64)
+    except (DegenerateCovarianceError, DegeneratePointError):
+        if cells.size == 1:
+            return np.full(1, np.nan)
+        half = cells.size // 2
+        return np.concatenate([_cells_or_nan(field, part) for part in (cells[:half], cells[half:])])
+
+
 def cmd_density(config: RunConfig, out_path: str | None) -> int:
     """Evaluate h on an nx-by-ny grid; CSV rows sweep x within each y row."""
     field, _ = config.density_field()
     xs = np.linspace(config.x_min, config.x_max, config.nx)
     ys = np.linspace(config.y_min, config.y_max, config.ny)
-    grid = xs[None, :] + 1j * ys[:, None]
-    degenerate = 0
-    try:
-        values = np.asarray(field(grid), dtype=np.float64)
-    except (DegenerateCovarianceError, DegeneratePointError):
-        values = np.empty(grid.shape)
-        for iy in range(config.ny):
-            for ix in range(config.nx):
-                try:
-                    values[iy, ix] = field(grid[iy, ix])
-                except (DegenerateCovarianceError, DegeneratePointError):
-                    values[iy, ix] = np.nan
-                    degenerate += 1
-    lines = ["x,y,h"]
-    for iy in range(config.ny):
-        for ix in range(config.nx):
-            lines.append(f"{xs[ix]:.17g},{ys[iy]:.17g},{values[iy, ix]:.17g}")
-    _write_output("\n".join(lines) + "\n", out_path)
-    if degenerate:
-        print(f"warning: {degenerate} degenerate grid cells written as nan", file=sys.stderr)
+    values = _cells_or_nan(field, (xs[None, :] + 1j * ys[:, None]).reshape(-1))
+    rows = zip(np.repeat(ys, config.nx), np.tile(xs, config.ny), values)
+    text = "".join(f"{x:.17g},{y:.17g},{h:.17g}\n" for y, x, h in rows)
+    _write_output("x,y,h\n" + text, out_path)
+    undefined = np.count_nonzero(~np.isfinite(values))
+    if undefined:
+        print(f"warning: {undefined} grid cells degenerate or not finite", file=sys.stderr)
         return 4
     return 0
 

@@ -53,15 +53,16 @@ K, evaluated at conj z, is h for conj mu at conj K, evaluated at z.  The
 conjugated law keeps every variance, so both share the forms y1 ... d3,
 det and d0 at z; only the level and the mean sums change.  With
 ``mirror=True``, ``zero_mean_density`` and ``general_mean_density`` return
-the pair mean (h(z) + h(conj z)) / 2 from that one set of forms: the second
-term repeats only the assembly, at conj K, and for theorem 4 with the mean
-sums of conj mu, which the real rows give with no second product.  Where
-the law is its own conjugate (every mu_b zero and K real) the pair mean is
-h, bit for bit.  The two terms agree with h at z and at conj z only to
-rounding: the table and the forms at conj z are the exact conjugates of
-those at z, but the assembly's intermediates (r, q2 r, |d1 + i d2|^2) are
-not invariant under the conjugation, and its braces cancel by factors of
-1e5 to 1e6 at degree 40 near |z| = 8.
+the pair mean (h(z) + h(conj z)) / 2 from that one set of forms.  The
+level-free terms (``_level_free_quotients``) are formed once per point; the
+second term repeats only the arithmetic of the level, at conj K, and for
+theorem 4 of the mean sums of conj mu, which the real rows give with no
+second product.  Where the law is its own conjugate (every mu_b zero and K
+real) the pair mean is h, bit for bit.  The two terms agree with h at z and
+at conj z only to rounding: the table and the forms at conj z are the exact
+conjugates of those at z, but the assembly's intermediates (r, q2 r,
+|d1 + i d2|^2) are not invariant under the conjugation, and its braces
+cancel by factors of 1e5 to 1e6 at degree 40 near |z| = 8.
 """
 
 from __future__ import annotations
@@ -337,15 +338,7 @@ def _quadratic_forms(profile, basis, z, mu=None):
     ``mean_sums`` is None without ``mu``, else the sums of the real rows
     ``mu`` = (mu_a, mu_b) against f and f' (see ``_mean_sums``), shape
     (2, 2) + z.shape: ((sum mu_a f, sum mu_b f), (sum mu_a f', sum mu_b f')).
-    ``_basis_forms`` picks the route over blocks of points from
-    ``_basis_blocks``:
-
-    - ``_power_forms`` for ``MonomialBasis`` and ``WeightedMonomialBasis``
-      (weights folded into the variances and means): the squares and cross
-      products of the powers z^k, two matmuls per block
-      (f_j' = j z^(j-1)), with no derivative rows and larger blocks;
-    - ``_product_forms`` for every other basis: eight value/derivative
-      product rows reduced by ``_weighted_sums``.
+    ``_basis_forms`` picks the route, ``_power_forms`` or ``_product_forms``.
 
     Plain summation is enough for them: y1, y3, d3 and, on the power route,
     P1 and P2 add nonnegative terms, and the one cancellation that matters,
@@ -373,45 +366,45 @@ def _quadratic_forms(profile, basis, z, mu=None):
     return (y1, y2, y3, det, d0, d1, d2, d3), mean_sums
 
 
-def _zero_mean_h(y1, y2, y3, det, d0, d1, d2, d3, k1, k2):
-    """Assemble the zero-mean closed form from its quadratic forms."""
-    q1 = k1 * y3 - k2 * y2
-    q2 = k1 * y2 - k2 * y1
-    r = k1 * (y2 + y3) - k2 * (y1 + y2)
+def _level_free_quotients(forms):
+    """|d1|^2, |d2|^2, |d1 + i d2|^2, y2 + y3, y1 + y2 and y2, each over d0.
+
+    The terms of theorems 2 and 4 that hold neither K nor the means.  Each
+    |d|^2 y/det is taken as (|d|^2/d0) (y/d0), and q/d0^3 as (q/det)/d0:
+    |d1|^2 y and d0*det pass the double range from |z| of about 20 at degree
+    40, while each quotient stays in range.
+    """
+    y1, y2, y3, _, d0, d1, d2, _ = forms
     ad1 = d1.real**2 + d1.imag**2
     ad2 = d2.real**2 + d2.imag**2
     d12 = d1 + 1j * d2
     ad12 = d12.real**2 + d12.imag**2
-    # q/d0^3 is taken as (q/det)/d0: d0*det overflows from |z| of about 20
-    # at degree 40, while each quotient stays in range.
-    r_d0 = r / d0
+    return ad1 / d0, ad2 / d0, ad12 / d0, (y2 + y3) / d0, (y1 + y2) / d0, y2 / d0
+
+
+def _zero_mean_h(forms, quotients, k1, k2):
+    """Assemble the zero-mean closed form from its forms and ``_level_free_quotients``."""
+    y1, y2, y3, det, d0, _, _, d3 = forms
+    a1, a2, a12, s23, s12, s2 = quotients
+    q1 = k1 * y3 - k2 * y2
+    q2 = k1 * y2 - k2 * y1
+    r_d0 = (k1 * (y2 + y3) - k2 * (y1 + y2)) / d0
     braces = (
         d3
-        - (ad1 / d0) * ((y2 + y3) / d0 - (q1 / det) * r_d0)
-        - (ad2 / d0) * ((y1 + y2) / d0 - (q2 / det) * r_d0)
-        + (ad12 / d0) * (y2 / d0 - (q1 / det) * (q2 / d0))
+        - a1 * (s23 - (q1 / det) * r_d0)
+        - a2 * (s12 - (q2 / det) * r_d0)
+        + a12 * (s2 - (q1 / det) * (q2 / d0))
     )
     expo = -(k1 * k1 * y3 + k2 * k2 * y1 - 2.0 * k1 * k2 * y2) / (2.0 * det)
     return np.exp(expo) / (2.0 * np.pi * d0) * braces
 
 
-def _general_mean_h(y1, y2, y3, det, d0, d1, d2, d3, kt1, kt2, m):
+def _general_mean_h(forms, trace_term, kt1, kt2, m):
     """Assemble the general-mean closed form at the shifted level kt = K - E(S)."""
+    y1, y2, y3, det, d0, d1, d2, _ = forms
     q1 = kt1 * y3 - kt2 * y2
     q2 = kt1 * y2 - kt2 * y1
     cond_deriv = m + (q1 * d1 - 1j * q2 * d2) / det
-    ad1 = d1.real**2 + d1.imag**2
-    ad2 = d2.real**2 + d2.imag**2
-    d12 = d1 + 1j * d2
-    ad12 = d12.real**2 + d12.imag**2
-    # Each |d|^2 * y / det is taken as (|d|^2/d0) * (y/d0): |d1|^2 * y passes
-    # the double range from |z| of about 20 at degree 40.
-    trace_term = (
-        d3
-        - (ad1 / d0) * ((y2 + y3) / d0)
-        - (ad2 / d0) * ((y1 + y2) / d0)
-        + (ad12 / d0) * (y2 / d0)
-    )
     edet = trace_term + cond_deriv.real**2 + cond_deriv.imag**2
     expo = -(kt1 * kt1 * y3 + kt2 * kt2 * y1 - 2.0 * kt1 * kt2 * y2) / (2.0 * det)
     return edet * np.exp(expo) / (2.0 * np.pi * d0)
@@ -440,9 +433,10 @@ def zero_mean_density(
     level = as_level(level)
     forms, _ = _quadratic_forms(profile, basis, z)
     y1, y2, y3, det, d0, d1, d2, d3 = forms
-    h = _zero_mean_h(*forms, level.k1, level.k2)
+    quotients = _level_free_quotients(forms)
+    h = _zero_mean_h(forms, quotients, level.k1, level.k2)
     if mirror and level.k2 != 0.0:
-        h = 0.5 * (h + _zero_mean_h(*forms, level.k1, -level.k2))
+        h = 0.5 * (h + _zero_mean_h(forms, quotients, level.k1, -level.k2))
     return DensityParts(y1=y1, y2=y2, y3=y3, d0=d0, d1=d1, d2=d2, d3=d3, h=h)
 
 
@@ -501,13 +495,16 @@ def general_mean_density(
     )
     ex, m = ea + 1j * eb, ma + 1j * mb
     ex1, ex2 = ex.real, ex.imag
-    h = _general_mean_h(*forms, level.k1 - ex1, level.k2 - ex2, m)
+    y1, y2, y3, det, d0, d1, d2, d3 = forms
+    a1, a2, a12, s23, s12, s2 = _level_free_quotients(forms)
+    trace_term = d3 - a1 * s23 - a2 * s12 + a12 * s2
+    h = _general_mean_h(forms, trace_term, level.k1 - ex1, level.k2 - ex2, m)
     if mirror and (level.k2 != 0.0 or np.any(profile.mu_b)):
         # conj(mu) sums to ea - i eb against f and ma - i mb against f'; its level is conj K.
         ex_c = ea - 1j * eb
-        h_c = _general_mean_h(*forms, level.k1 - ex_c.real, -level.k2 - ex_c.imag, ma - 1j * mb)
+        h_c = _general_mean_h(
+            forms, trace_term, level.k1 - ex_c.real, -level.k2 - ex_c.imag, ma - 1j * mb)
         h = 0.5 * (h + h_c)
-    y1, y2, y3, det, d0, d1, d2, d3 = forms
     return DensityPartsGeneral(
         y1=y1, y2=y2, y3=y3, d0=d0, d1=d1, d2=d2, d3=d3, h=h, m=m, ex1=ex1, ex2=ex2,
     )
@@ -570,7 +567,8 @@ def brownian_density_direct(inner: BasisFamily, grid: TimeGrid, level, z) -> Den
     if np.any(det <= _DEGENERACY_FLOOR * y1 * y3):
         raise DegenerateCovarianceError("singular covariance in direct evaluation")
     d0 = np.sqrt(det)
-    h = _zero_mean_h(y1, y2, y3, det, d0, d1, d2, d3, level.k1, level.k2)
+    forms = (y1, y2, y3, det, d0, d1, d2, d3)
+    h = _zero_mean_h(forms, _level_free_quotients(forms), level.k1, level.k2)
     return DensityParts(y1=y1, y2=y2, y3=y3, d0=d0, d1=d1, d2=d2, d3=d3, h=h)
 
 

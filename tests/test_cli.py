@@ -3,8 +3,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,43 @@ class TestDensityCommand:
         values = [float(r.split(",")[2]) for r in rows]
         assert sum(np.isnan(v) for v in values) == 1
         assert all(v >= 0 for v in values if not np.isnan(v))
+
+    def test_overflowed_cells_exit_4(self, capsys):
+        # At degree 80 out to |z| = 20 the forms pass the double range in 18
+        # of the 20 cells; they count with the degenerate ones.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(
+                ["density", "--degree", "80", "--theorem", "2", "--k1=1", "--k2=0.5",
+                 "--x-min=-20", "--x-max=20", "--y-min=-20", "--y-max=20", "--nx", "5", "--ny", "4"],
+                capsys)
+        values = [float(row.split(",")[2]) for row in out.strip().split("\n")[1:]]
+        undefined = sum(not np.isfinite(v) for v in values)
+        assert (code, len(values), undefined) == (4, 20, 18)
+        assert "degenerate" in err and f" {undefined} " in err
+
+    def test_degenerate_cell_is_found_by_halving(self, monkeypatch, capsys):
+        # A block that raises is halved: the one degenerate cell (z = 0) of a
+        # 41 x 41 grid costs two calls per halving, not one call per cell.
+        calls = []
+        original = cli.density_field
+
+        def counted_field(*args, **kwargs):
+            field, theorem = original(*args, **kwargs)
+
+            def counted(z):
+                calls.append(np.size(z))
+                return field(z)
+
+            return counted, theorem
+
+        monkeypatch.setattr(cli, "density_field", counted_field)
+        code, out, err = run_cli(["density", "--basis", "weighted-monomial", "--weights", "0,1,1",
+                                  "--nx", "41", "--ny", "41"], capsys)
+        rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+        undefined = [(float(x), float(y)) for x, y, h in rows if np.isnan(float(h))]
+        assert (code, undefined) == (4, [(0.0, 0.0)])
+        assert calls[0] == 41 * 41 and len(calls) <= 2 * 11 + 1
 
     def test_file_output_has_lf_endings(self, tmp_path, capsys):
         out_file = tmp_path / "grid.csv"
@@ -524,6 +565,18 @@ class TestLibraryEntryPoints:
         code, out, err = run_cli(["expect", "--degree", "2", "--mu-a", "0.5",
                                   "--theorem", theorem], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_module_entry_point_runs_without_warnings():
+    # ``python -m levelcross.cli`` must not find the module already imported:
+    # runpy warns then, which the package avoids by not re-exporting cli.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "levelcross.cli", "expect",
+         "--degree", "2"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["diagnostics"]["theorem"] == "3"
 
 
 def resolve(argv):

@@ -348,6 +348,41 @@ class TestSymmetries:
             plain = evaluate(real_means, basis, 1.0, z).h
             assert np.array_equal(evaluate(real_means, basis, 1.0, z, mirror=True).h, plain), name
 
+    @pytest.mark.parametrize("degree", [2, 10, 40])
+    def test_mirrored_density_is_the_mean_over_the_conjugate_level(self, rng, degree):
+        # With real means the conjugate law differs only in the level, so the
+        # pair's second term is the plain h at conj K on the same forms, bit
+        # for bit, out to |z| = 20 where the quotients by d0 keep h in range.
+        z = 20.0 * np.sqrt(rng.uniform(size=500)) * np.exp(2j * np.pi * rng.uniform(size=500))
+        z[:4] = 20.0, -20.0, 20.0j, 14.0 + 14.0j
+        cases = self.paired_cases(rng, degree)
+        for name in ("theorem-2", "theorem-5", "weighted-2", "theorem-4"):
+            evaluate, profile, basis = cases[name]
+            profile = CoefficientProfile(profile.mu_a, profile.var_a,
+                                         np.zeros(degree + 1), profile.var_b)
+            mirrored = evaluate(profile, basis, 1 + 0.5j, z, mirror=True).h
+            pair = 0.5 * (evaluate(profile, basis, 1 + 0.5j, z).h
+                          + evaluate(profile, basis, 1 - 0.5j, z).h)
+            assert np.all(np.isfinite(pair)), name
+            assert np.array_equal(mirrored, pair), name
+
+    @pytest.mark.parametrize("evaluate, profile", [
+        (zero_mean_density, CoefficientProfile.iid(4, var_a=1.0, var_b=2.0)),
+        (general_mean_density, CoefficientProfile([0.3, 0.0, 0.1, -0.2], 1.0, [0.1, -0.2, 0.0, 0.3], 2.0)),
+    ], ids=["theorem-2", "theorem-4"])
+    def test_level_free_terms_formed_once_per_pair(self, monkeypatch, evaluate, profile):
+        calls = []
+        original = density._level_free_quotients
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(density, "_level_free_quotients", counted)
+        z = np.linspace(-2, 2, 50) + 0.5j
+        evaluate(profile, MonomialBasis(3), ComplexLevel(1.0, 0.5), z, mirror=True)
+        assert len(calls) == 1
+
     def test_rotational_symmetry_equal_variance_zero_level(self, rng):
         for _ in range(40):
             basis = MonomialBasis(int(rng.integers(2, 8)))
