@@ -236,11 +236,10 @@ def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Recta
       keeps the point symmetry: the quadrant x >= 0, y >= 0 carries a
       quarter of the integral.
 
-    The kept quadrant is a cell of the quadrature's tree over ``region``,
-    whatever the region's shape: a cell centred on an axis is cut on it, x
-    first, and only bisected.  So is the kept half y >= 0 when
-    ``x_min != -x_max``.  Where the pair mean is h itself, the folded run
-    then refines its part exactly as the unfolded run refines each copy.
+    The quadrature starts from ``region`` cut on each axis that crosses it,
+    so the start cells of the kept part are start cells of the unfolded run:
+    where the pair mean is h itself, the folded run refines them exactly as
+    the unfolded run refines each copy.
     """
     x0, x1, y0, y1 = region.x_min, region.x_max, region.y_min, region.y_max
     conjugate = y0 == -y1
@@ -250,6 +249,12 @@ def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Recta
     if conjugate:
         return Rectangle(x0, x1, 0.0, y1), 2
     return region, 1
+
+
+def _show_warnings(caught) -> None:
+    """Show the warnings that ``warnings.catch_warnings(record=True)`` held back."""
+    for held in caught:
+        warnings.showwarning(held.message, held.category, held.filename, held.lineno)
 
 
 def expected_count(
@@ -280,9 +285,7 @@ def expected_count(
         result = integrate_density(field, part, abs_tol=abs_tol / weight, rel_tol=rel_tol,
                                    max_cells=max_cells // weight)
     if not result.nonfinite_cells:
-        for caught_warning in caught:
-            warnings.showwarning(caught_warning.message, caught_warning.category,
-                                 caught_warning.filename, caught_warning.lineno)
+        _show_warnings(caught)
     return replace(
         result,
         value=weight * result.value,
@@ -452,14 +455,16 @@ def cmd_density(config: RunConfig, out_path: str | None) -> int:
     field, _ = config.density_field()
     xs = np.linspace(config.x_min, config.x_max, config.nx)
     ys = np.linspace(config.y_min, config.y_max, config.ny)
-    values = _cells_or_nan(field, (xs[None, :] + 1j * ys[:, None]).reshape(-1))
+    with warnings.catch_warnings(record=True) as caught:
+        values = _cells_or_nan(field, (xs[None, :] + 1j * ys[:, None]).reshape(-1))
     rows = zip(np.repeat(ys, config.nx), np.tile(xs, config.ny), values)
     text = "".join(f"{x:.17g},{y:.17g},{h:.17g}\n" for y, x, h in rows)
     _write_output("x,y,h\n" + text, out_path)
     undefined = np.count_nonzero(~np.isfinite(values))
     if undefined:
         print(f"warning: {undefined} grid cells degenerate or not finite", file=sys.stderr)
-        return 4
+        return 4  # the count reports an overflow, so numpy's warnings are not shown
+    _show_warnings(caught)
     return 0
 
 

@@ -53,12 +53,10 @@ halves and the two quarters of the worse half, only one cell more.
 Re-measured under the decay estimate over 2^10 to 2^25, 2^15 evaluates
 within 1.2% of the fewest points at degree 40 and at degree 2 over
 [-20, 20]^2 (tolerance 1e-8), and within 3.2% over the sweep below at
-tolerances 1e-4, 1e-8 and 1e-10, so the asymptotic choice stands.  A cell that straddles a coordinate
-axis is only bisected, and a cell centred on an axis (``x0 == -x1`` or
-``y0 == -y1``) is cut on it, x first.  So a region centred on the origin has
-its halves x <= 0 and x >= 0 and its four quadrants as cells of the tree,
-whatever its shape, and within each the refinement is what a run over that
-part alone makes of it (the CLI's point fold integrates one quadrant).  The
+tolerances 1e-4, 1e-8 and 1e-10, so the asymptotic choice stands.  The
+start cells are the region cut on each coordinate axis that crosses it, so
+each half or quadrant of a region centred on the origin refines as a run
+over it alone would (the CLI's point fold integrates one quadrant).  The
 integrand is smooth away from degenerate points, so per-cell convergence is
 spectral and the deterministic result is independent of the stochastic
 verification path.
@@ -79,6 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable
 
 import numpy as np
@@ -174,7 +173,7 @@ class QuadratureResult:
     ``error_estimate`` is the sum of the cells' error estimates (see the
     module docstring); when ``converged`` it is at most
     ``max(abs_tol, rel_tol * |value|)``.  ``passes`` counts the refinement
-    passes after the first cell, ``evaluations`` the integrand points
+    passes after the start cells, ``evaluations`` the integrand points
     evaluated (225 per cell evaluated), ``nonfinite_cells`` the final cells
     whose value or error is not finite, and ``fallback_cells`` the final
     cells whose coefficients did not pass the decay test, so that their
@@ -201,15 +200,13 @@ def _evaluate_cells(
     ``CELLS_PER_CALL`` cells at a time.  A cell's error is the decay
     estimate of the module docstring where its coefficients pass the decay
     test, else the Gauss error, and the fourth array is True where it is the
-    latter.  The third array is True where a cell is to be cut across x: a
-    cell centred on an axis (``x0 == -x1``, else ``y0 == -y1``) is cut on
-    that axis, any other across the axis with the larger one-axis error
-    (Kronrod minus Gauss applied in that axis only), and across its longer
-    axis on a tie.
+    latter.  The third array is True where a cell is to be cut across x, the
+    axis with the larger one-axis error (Kronrod minus Gauss applied in that
+    axis only), or its longer axis on a tie.
     """
     low, high = boxes[:, ::2], boxes[:, 1::2]  # (x0, y0) and (x1, y1)
-    sums, half = low + high, 0.5 * (high - low)
-    axes = (0.5 * sums)[:, :, None] + half[:, :, None] * KRONROD_NODES
+    half = 0.5 * (high - low)
+    axes = (0.5 * (low + high))[:, :, None] + half[:, :, None] * KRONROD_NODES
     grid = np.empty((len(boxes), _NODES, _NODES), dtype=np.complex128)
     grid.real = axes[:, 0, :, None]
     grid.imag = axes[:, 1, None, :]
@@ -242,9 +239,7 @@ def _evaluate_cells(
     ratio /= np.where(decays, base, 1.0)
     estimate = np.minimum(np.maximum(last * ratio**3, 50.0 * _EPS * scale), gauss)
     by_error = (x_errors > y_errors) | ((x_errors == y_errors) & (half[:, 0] >= half[:, 1]))
-    centred = sums == 0.0
-    return (kronrod, np.where(decays, estimate, np.maximum(gauss, last)),
-            centred[:, 0] | (~centred[:, 1] & by_error), ~decays)
+    return kronrod, np.where(decays, estimate, np.maximum(gauss, last)), by_error, ~decays
 
 
 # _CUTS[across_x][half] marks the bound a bisection moves to the midpoint:
@@ -290,6 +285,9 @@ def integrate_density(
     The evaluator must act pointwise: it receives a 2-D complex grid of any
     shape and returns real values of the same shape.
 
+    The start cells, evaluated together, are the region cut on each
+    coordinate axis that crosses its interior, in spatial order (x outer),
+    or the region as one cell when those 2 or 4 cells exceed ``max_cells``.
     Refinement stops, with ``converged=True``, once the summed cell error
     is within ``tolerance = max(abs_tol, rel_tol * |current total|)``, so
     the returned ``error_estimate`` is within that tolerance.  Until then,
@@ -299,13 +297,10 @@ def integrate_density(
     worst cell is split.  Of the split cells, those whose error exceeds
     ``DOUBLE_SPLIT_FACTOR * tolerance / cells`` are split into their four
     quarters instead, worst first, as long as the two extra cells of each
-    fit within ``max_cells``; a cell that straddles the real or the
-    imaginary axis is only bisected, so that the halves of a region
-    symmetric about the origin refine as they would alone.  "Worst" is a
-    stable sort on descending error, ties in row order (see the module
-    docstring).  The first cut of a cell goes across the axis that
-    ``_evaluate_cells`` chose, the second cut of a double split across the
-    longer axis of each half.
+    fit within ``max_cells``.  "Worst" is a stable sort on descending
+    error, ties in row order (see the module docstring).  The first cut of
+    a cell goes across the axis that ``_evaluate_cells`` chose, the second
+    cut of a double split across the longer axis of each half.
     Reaching ``max_cells`` returns the best estimate with
     ``converged=False`` rather than raising, and so does a non-finite cell
     value or error (the evaluator overflowed somewhere in the region):
@@ -318,9 +313,14 @@ def integrate_density(
         raise ConfigurationError("tolerances must be positive")
     if max_cells < 1:
         raise ConfigurationError("max_cells must be at least 1")
-    boxes = np.array([[region.x_min, region.x_max, region.y_min, region.y_max]], dtype=np.float64)
+    x0, x1, y0, y1 = region.x_min, region.x_max, region.y_min, region.y_max
+    xs = [x0, 0.0, x1] if x0 < 0.0 < x1 else [x0, x1]
+    ys = [y0, 0.0, y1] if y0 < 0.0 < y1 else [y0, y1]
+    boxes = np.array([(*x, *y) for x in pairwise(xs) for y in pairwise(ys)], dtype=np.float64)
+    if len(boxes) > max_cells:
+        boxes = np.array([[x0, x1, y0, y1]], dtype=np.float64)
     values, errors, across_x, fallback = _evaluate_cells(evaluator, boxes)
-    passes, evaluated = 0, 1
+    passes, evaluated = 0, len(boxes)
     while True:
         cells = len(boxes)
         stats = dict(passes=passes, evaluations=_NODES * _NODES * evaluated,
@@ -350,15 +350,10 @@ def integrate_density(
             offenders = offenders[np.argsort(-errors[offenders], kind="stable")[:room]]
         # A double split adds two cells more than a bisection; the worst
         # cells far over their share get one while the budget has room.
-        # Cells across an axis are only bisected, so that a region symmetric
-        # about the origin is cut on the axis and its halves are tree cells.
         parents, worst = boxes[offenders], errors[offenders]
         spare = (room - len(offenders)) // 2
-        far = (worst > DOUBLE_SPLIT_FACTOR * share).nonzero()[0] if spare else ()
-        if len(far):
-            corners = parents[far]
-            far = far[~((corners[:, ::2] < 0.0) & (corners[:, 1::2] > 0.0)).any(axis=1)]
-            far = far[np.argsort(-worst[far], kind="stable")[:spare]]
+        far = (worst > DOUBLE_SPLIT_FACTOR * share).nonzero()[0]
+        far = far[np.argsort(-worst[far], kind="stable")[:spare]]
         # Each split cell's first child takes its row; the others are appended.
         children = _split(parents, across_x[offenders], far)
         rows = (boxes, values, errors, across_x, fallback)

@@ -137,7 +137,7 @@ class TestAdaptivity:
         assert np.isnan(result.value)
 
     def test_nonfinite_cell_after_refinement_is_not_converged(self):
-        # Finite on the first cell, infinite on a node of a later one.
+        # Finite on the start cells, infinite on a node of a later one.
         f = lambda z: np.where(np.abs(z - 0.25) < 1e-3, np.inf, np.exp(-z.real**2 / 1e-3))
         result = integrate_density(f, Rectangle(-1, 1, -1, 1), 1e-10, 1e-10)
         assert not result.converged
@@ -203,7 +203,8 @@ class TestPassBatching:
         assert result.evaluations == 225 * evaluated == sum(rows * cols for rows, cols in calls)
         # Bisection alone evaluates 2 * cells - 1; a double split skips the halves.
         assert result.evaluations <= 225 * (2 * result.cells_used - 1)
-        assert calls[0] == (15, 15)
+        # The start cells are the four quadrants, in one call.
+        assert calls[0] == (60, 15)
         assert all(rows % 15 == 0 and cols == 15 for rows, cols in calls)
 
     def test_single_cell_counts(self):
@@ -218,14 +219,15 @@ class TestPassBatching:
         # Integer bounds: midpoints must not truncate.
         (lambda z: np.exp(-4 * np.abs(z - (0.5 + 0.25j)) ** 2) * (1 + z.real**2),
          Rectangle(-3, 2, -1, 2), (1e-11, 1e-11), 20000,
-         dict(cells_used=44, value=1.0796562386577573), 1e-13),
+         dict(cells_used=37, value=1.0796562386577573), 1e-13),
         # The conjugate-pair mean at N = 2 with means over the kept half of
         # [-20, 20]^2, as ``expect`` runs it on a ``quad-n2-mean`` operation:
-        # pinned bit for bit, error estimate and counts included.
+        # pinned bit for bit, error estimate and counts included.  The start
+        # cells are its halves x <= 0 and x >= 0.
         (lambda z: general_mean_density(*_N2_MEAN_MODEL, z, mirror=True).h,
          Rectangle(-20, 20, 0, 20), (5e-9, 1e-8), 20000,
          dict(cells_used=26, value=0.9982053400137022, error_estimate=1.8178837682322662e-09,
-              passes=5, evaluations=7875, fallback_cells=0), 0.0),
+              passes=4, evaluations=7650, fallback_cells=0), 0.0),
     ], ids=["truncated", "integer-bounds", "n2-mean-half"])
     def test_refinement_is_pinned(self, integrand, region, tols, max_cells, pinned, value_rtol):
         # Pinned numbers: which cells are refined is a fixed function of the
@@ -262,35 +264,37 @@ class TestPassBatching:
         first_pass = [c.reshape(-1, 15, 15).mean(axis=(1, 2)) for c in calls[1:]]
         np.testing.assert_allclose(np.concatenate([[], *first_pass]), centres, atol=1e-15)
 
-    @pytest.mark.parametrize("region, centres", [
+    @pytest.mark.parametrize("region, peak, centres", [
         # Off the axes: the four quarters, in spatial order, of a cut across
         # the axis with the larger error (x here) and of each half across its
         # longer axis, and never the two halves.
-        (Rectangle(0, 2, 0, 2), [0.5 + 0.5j, 0.5 + 1.5j, 1.5 + 0.5j, 1.5 + 1.5j]),
-        # Across both axes: only bisected, so the halves x < 0 and x > 0 are
-        # cells of the tree.
-        (Rectangle(-1, 1, -1, 1), [-0.5, 0.5]),
+        (Rectangle(0, 2, 0, 2), 1.3 + 0.9j, [0.5 + 0.5j, 0.5 + 1.5j, 1.5 + 0.5j, 1.5 + 1.5j]),
+        # Across both axes: the start cells are the quadrants, and the one
+        # that holds the peak, the only one over its share, is split into
+        # four like any other cell.
+        (Rectangle(-1, 1, -1, 1), 0.5 - 0.5j,
+         [0.25 - 0.75j, 0.25 - 0.25j, 0.75 - 0.75j, 0.75 - 0.25j]),
     ], ids=["off-axes", "across-axes"])
-    def test_cell_far_over_its_share_is_split_into_four(self, region, centres):
-        # The root's error is far above 2**15 times the tolerance.
+    def test_cell_far_over_its_share_is_split_into_four(self, region, peak, centres):
+        # The error of the cell that holds the peak is far above 2**15 times
+        # its share of the tolerance.
         calls = []
-        peak = complex(0.5 * (region.x_min + region.x_max) + 0.3,
-                       0.5 * (region.y_min + region.y_max) - 0.1)
 
         def f(z):
             calls.append(z.copy())
             return 1.0 / (1e-4 + np.abs(z - peak) ** 2)
 
-        integrate_density(f, region, 1e-12, 1e-12, max_cells=4)
+        integrate_density(f, region, 1e-6, 1e-6, max_cells=7)
         first_pass = calls[1].reshape(-1, 15, 15).mean(axis=(1, 2))
         np.testing.assert_allclose(first_pass, centres, atol=1e-15)
 
     def test_several_cells_split_in_one_pass(self):
-        # The root is across the imaginary axis, so it is only bisected.  In
-        # the next pass the half x < 0, over its share through a smooth ridge,
-        # is bisected across x, and the half x > 0, far over its share
-        # through a sharp peak, is split into four.  Each cell's children
-        # are evaluated in spatial order, its first child first.
+        # The region crosses the imaginary axis, so its start cells are the
+        # halves x < 0 and x > 0, in one call.  In the first pass the half
+        # x < 0, over its share through a smooth ridge, is bisected across x,
+        # and the half x > 0, far over its share through a sharp peak, is
+        # split into four.  Each cell's children are evaluated in spatial
+        # order, its first child first.
         calls = []
 
         def f(z):
@@ -299,10 +303,12 @@ class TestPassBatching:
             return 1.0 / (1e-4 + np.abs(z - (0.6 + 1.1j)) ** 2) + ridge
 
         result = integrate_density(f, Rectangle(-1, 1, 0.5, 1.5), 1e-4, 1e-12, max_cells=6)
-        assert (result.cells_used, result.passes, result.evaluations) == (6, 2, 225 * 9)
-        second_pass = calls[2].reshape(-1, 15, 15).mean(axis=(1, 2))
-        left = second_pass[second_pass.real < 0]
-        right = second_pass[second_pass.real > 0]
+        assert (result.cells_used, result.passes, result.evaluations) == (6, 1, 225 * 8)
+        np.testing.assert_allclose(calls[0].reshape(-1, 15, 15).mean(axis=(1, 2)),
+                                   [-0.5 + 1j, 0.5 + 1j], atol=1e-15)
+        first_pass = calls[1].reshape(-1, 15, 15).mean(axis=(1, 2))
+        left = first_pass[first_pass.real < 0]
+        right = first_pass[first_pass.real > 0]
         np.testing.assert_allclose(left, [-0.75 + 1j, -0.25 + 1j], atol=1e-15)
         np.testing.assert_allclose(right, [0.25 + 0.75j, 0.25 + 1.25j, 0.75 + 0.75j, 0.75 + 1.25j],
                                    atol=1e-15)
@@ -333,6 +339,58 @@ class TestPassBatching:
             outcomes.add((result.cells_used, result.passes, result.value))
         assert len(outcomes) == 1
 
+
+
+def _node_grid(x0, x1, y0, y1):
+    """The (15, 15) Kronrod node grid of the cell ``(x0, x1, y0, y1)``."""
+    xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * KRONROD_NODES
+    ys = 0.5 * (y0 + y1) + 0.5 * (y1 - y0) * KRONROD_NODES
+    return xs[:, None] + 1j * ys[None, :]
+
+
+class TestStartCells:
+    """The first pass cuts the region on each axis that crosses its interior."""
+
+    @pytest.mark.parametrize("region, start", [
+        ((-3, 2, -1, 2), [(-3, 0, -1, 0), (-3, 0, 0, 2), (0, 2, -1, 0), (0, 2, 0, 2)]),
+        ((-1.2, 1.2, -0.2, 0.9),
+         [(-1.2, 0, -0.2, 0), (-1.2, 0, 0, 0.9), (0, 1.2, -0.2, 0), (0, 1.2, 0, 0.9)]),
+        ((-2, 2, -2, 2), [(-2, 0, -2, 0), (-2, 0, 0, 2), (0, 2, -2, 0), (0, 2, 0, 2)]),
+        ((-0.5, 1.5, 0.1, 1.2), [(-0.5, 0, 0.1, 1.2), (0, 1.5, 0.1, 1.2)]),
+        ((-20, 20, 0, 20), [(-20, 0, 0, 20), (0, 20, 0, 20)]),
+        ((0.2, 1.3, -0.3, 0.8), [(0.2, 1.3, -0.3, 0), (0.2, 1.3, 0, 0.8)]),
+        # Touching an axis only at an edge is not crossing it.
+        ((0, 2, 0, 2), [(0, 2, 0, 2)]),
+        ((-2, 0, 0, 1.5), [(-2, 0, 0, 1.5)]),
+    ], ids=["both-off-centre", "both-thin", "both-centred", "imaginary-axis",
+            "kept-half", "real-axis", "corner-on-origin", "edges-on-axes"])
+    def test_every_cell_lies_in_one_closed_quadrant(self, region, start):
+        calls = []
+
+        def f(z):
+            calls.append(z.copy())
+            return 1.0 / (1e-2 + np.abs(z - (0.1 + 0.2j)) ** 2)
+
+        result = integrate_density(f, Rectangle(*region), 1e-10, 1e-10)
+        assert result.converged and result.passes > 0
+        np.testing.assert_allclose(calls[0].reshape(-1, 15, 15),
+                                   [_node_grid(*cell) for cell in start], rtol=0, atol=1e-14)
+        for call in calls:
+            for cell in call.reshape(-1, 15, 15):
+                for part in (cell.real, cell.imag):
+                    assert (part > 0).all() or (part < 0).all()
+
+    @pytest.mark.parametrize("max_cells", [1, 2, 3])
+    def test_start_cells_beyond_the_budget_are_one_cell(self, max_cells):
+        calls = []
+
+        def f(z):
+            calls.append(z.shape)
+            return np.exp(-np.abs(z - 0.3) ** 2)
+
+        result = integrate_density(f, Rectangle(-1, 1, -1, 1), 1e-12, 1e-12, max_cells)
+        assert calls[0] == (15, 15)
+        assert result.cells_used == max_cells
 
 def _n2_mean_model():
     """Profile, basis and level of operation 0 of ``quad-n2-mean`` at seed 1."""
