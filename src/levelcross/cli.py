@@ -236,7 +236,7 @@ def _fundamental_region(profile, basis, level, region: Rectangle) -> tuple[Recta
       keeps the point symmetry: the quadrant x >= 0, y >= 0 carries a
       quarter of the integral.
 
-    The quadrature starts from ``region`` cut on each axis that crosses it,
+    The quadrature starts from ``region`` cut on each axis it is centred on,
     so the start cells of the kept part are start cells of the unfolded run:
     where the pair mean is h itself, the folded run refines them exactly as
     the unfolded run refines each copy.

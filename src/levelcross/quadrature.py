@@ -54,12 +54,11 @@ Re-measured under the decay estimate over 2^10 to 2^25, 2^15 evaluates
 within 1.2% of the fewest points at degree 40 and at degree 2 over
 [-20, 20]^2 (tolerance 1e-8), and within 3.2% over the sweep below at
 tolerances 1e-4, 1e-8 and 1e-10, so the asymptotic choice stands.  The
-start cells are the region cut on each coordinate axis that crosses it, so
-each half or quadrant of a region centred on the origin refines as a run
-over it alone would (the CLI's point fold integrates one quadrant).  The
-integrand is smooth away from degenerate points, so per-cell convergence is
-spectral and the deterministic result is independent of the stochastic
-verification path.
+start cells are the region cut on each coordinate axis it is centred on, so
+each half or quadrant that the CLI's folds keep refines as a run over it
+alone would.  The integrand is smooth away from degenerate points, so
+per-cell convergence is spectral and the deterministic result is
+independent of the stochastic verification path.
 
 The driver works one refinement pass at a time.  The cells are rows of
 arrays (corners, values, errors, split axes, fallback flags): a split cell's
@@ -286,8 +285,9 @@ def integrate_density(
     shape and returns real values of the same shape.
 
     The start cells, evaluated together, are the region cut on each
-    coordinate axis that crosses its interior, in spatial order (x outer),
-    or the region as one cell when those 2 or 4 cells exceed ``max_cells``.
+    coordinate axis it is centred on (``x_min == -x_max`` or
+    ``y_min == -y_max``), in spatial order (x outer), or the region as one
+    cell when those 2 or 4 cells exceed ``max_cells``.
     Refinement stops, with ``converged=True``, once the summed cell error
     is within ``tolerance = max(abs_tol, rel_tol * |current total|)``, so
     the returned ``error_estimate`` is within that tolerance.  Until then,
@@ -314,8 +314,8 @@ def integrate_density(
     if max_cells < 1:
         raise ConfigurationError("max_cells must be at least 1")
     x0, x1, y0, y1 = region.x_min, region.x_max, region.y_min, region.y_max
-    xs = [x0, 0.0, x1] if x0 < 0.0 < x1 else [x0, x1]
-    ys = [y0, 0.0, y1] if y0 < 0.0 < y1 else [y0, y1]
+    xs = [x0, 0.0, x1] if x0 == -x1 else [x0, x1]
+    ys = [y0, 0.0, y1] if y0 == -y1 else [y0, y1]
     boxes = np.array([(*x, *y) for x in pairwise(xs) for y in pairwise(ys)], dtype=np.float64)
     if len(boxes) > max_cells:
         boxes = np.array([[x0, x1, y0, y1]], dtype=np.float64)

@@ -219,7 +219,7 @@ class TestPassBatching:
         # Integer bounds: midpoints must not truncate.
         (lambda z: np.exp(-4 * np.abs(z - (0.5 + 0.25j)) ** 2) * (1 + z.real**2),
          Rectangle(-3, 2, -1, 2), (1e-11, 1e-11), 20000,
-         dict(cells_used=37, value=1.0796562386577573), 1e-13),
+         dict(cells_used=50, value=1.0796562386577573), 1e-13),
         # The conjugate-pair mean at N = 2 with means over the kept half of
         # [-20, 20]^2, as ``expect`` runs it on a ``quad-n2-mean`` operation:
         # pinned bit for bit, error estimate and counts included.  The start
@@ -264,18 +264,20 @@ class TestPassBatching:
         first_pass = [c.reshape(-1, 15, 15).mean(axis=(1, 2)) for c in calls[1:]]
         np.testing.assert_allclose(np.concatenate([[], *first_pass]), centres, atol=1e-15)
 
-    @pytest.mark.parametrize("region, peak, centres", [
+    @pytest.mark.parametrize("region, peak, tolerance, max_cells, centres", [
         # Off the axes: the four quarters, in spatial order, of a cut across
         # the axis with the larger error (x here) and of each half across its
-        # longer axis, and never the two halves.
-        (Rectangle(0, 2, 0, 2), 1.3 + 0.9j, [0.5 + 0.5j, 0.5 + 1.5j, 1.5 + 0.5j, 1.5 + 1.5j]),
-        # Across both axes: the start cells are the quadrants, and the one
-        # that holds the peak, the only one over its share, is split into
-        # four like any other cell.
-        (Rectangle(-1, 1, -1, 1), 0.5 - 0.5j,
+        # longer axis, and never the two halves.  They fill the budget.
+        (Rectangle(0, 2, 0, 2), 1.3 + 0.9j, 1e-12, 4,
+         [0.5 + 0.5j, 0.5 + 1.5j, 1.5 + 0.5j, 1.5 + 1.5j]),
+        # Centred on both axes: the start cells are the quadrants, and the
+        # one that holds the peak, the only one over its share, is split
+        # into four like any other cell.
+        (Rectangle(-1, 1, -1, 1), 0.5 - 0.5j, 1e-6, 7,
          [0.25 - 0.75j, 0.25 - 0.25j, 0.75 - 0.75j, 0.75 - 0.25j]),
     ], ids=["off-axes", "across-axes"])
-    def test_cell_far_over_its_share_is_split_into_four(self, region, peak, centres):
+    def test_cell_far_over_its_share_is_split_into_four(self, region, peak, tolerance, max_cells,
+                                                         centres):
         # The error of the cell that holds the peak is far above 2**15 times
         # its share of the tolerance.
         calls = []
@@ -284,12 +286,12 @@ class TestPassBatching:
             calls.append(z.copy())
             return 1.0 / (1e-4 + np.abs(z - peak) ** 2)
 
-        integrate_density(f, region, 1e-6, 1e-6, max_cells=7)
+        integrate_density(f, region, tolerance, tolerance, max_cells=max_cells)
         first_pass = calls[1].reshape(-1, 15, 15).mean(axis=(1, 2))
         np.testing.assert_allclose(first_pass, centres, atol=1e-15)
 
     def test_several_cells_split_in_one_pass(self):
-        # The region crosses the imaginary axis, so its start cells are the
+        # The region is centred on the imaginary axis, so its start cells are the
         # halves x < 0 and x > 0, in one call.  In the first pass the half
         # x < 0, over its share through a smooth ridge, is bisected across x,
         # and the half x > 0, far over its share through a sharp peak, is
@@ -340,7 +342,6 @@ class TestPassBatching:
         assert len(outcomes) == 1
 
 
-
 def _node_grid(x0, x1, y0, y1):
     """The (15, 15) Kronrod node grid of the cell ``(x0, x1, y0, y1)``."""
     xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * KRONROD_NODES
@@ -349,29 +350,33 @@ def _node_grid(x0, x1, y0, y1):
 
 
 class TestStartCells:
-    """The first pass cuts the region on each axis that crosses its interior."""
+    """The first pass cuts the region on each axis it is centred on."""
 
-    @pytest.mark.parametrize("region, start", [
-        ((-3, 2, -1, 2), [(-3, 0, -1, 0), (-3, 0, 0, 2), (0, 2, -1, 0), (0, 2, 0, 2)]),
-        ((-1.2, 1.2, -0.2, 0.9),
-         [(-1.2, 0, -0.2, 0), (-1.2, 0, 0, 0.9), (0, 1.2, -0.2, 0), (0, 1.2, 0, 0.9)]),
-        ((-2, 2, -2, 2), [(-2, 0, -2, 0), (-2, 0, 0, 2), (0, 2, -2, 0), (0, 2, 0, 2)]),
-        ((-0.5, 1.5, 0.1, 1.2), [(-0.5, 0, 0.1, 1.2), (0, 1.5, 0.1, 1.2)]),
-        ((-20, 20, 0, 20), [(-20, 0, 0, 20), (0, 20, 0, 20)]),
-        ((0.2, 1.3, -0.3, 0.8), [(0.2, 1.3, -0.3, 0), (0.2, 1.3, 0, 0.8)]),
-        # Touching an axis only at an edge is not crossing it.
-        ((0, 2, 0, 2), [(0, 2, 0, 2)]),
-        ((-2, 0, 0, 1.5), [(-2, 0, 0, 1.5)]),
-    ], ids=["both-off-centre", "both-thin", "both-centred", "imaginary-axis",
-            "kept-half", "real-axis", "corner-on-origin", "edges-on-axes"])
-    def test_every_cell_lies_in_one_closed_quadrant(self, region, start):
+    @staticmethod
+    def calls_of(region, max_cells=20000):
         calls = []
 
         def f(z):
             calls.append(z.copy())
             return 1.0 / (1e-2 + np.abs(z - (0.1 + 0.2j)) ** 2)
 
-        result = integrate_density(f, Rectangle(*region), 1e-10, 1e-10)
+        result = integrate_density(f, Rectangle(*region), 1e-10, 1e-10, max_cells)
+        return result, calls
+
+    @pytest.mark.parametrize("region, start", [
+        ((-2, 2, -2, 2), [(-2, 0, -2, 0), (-2, 0, 0, 2), (0, 2, -2, 0), (0, 2, 0, 2)]),
+        ((-1.2, 1.2, -0.3, 0.3),
+         [(-1.2, 0, -0.3, 0), (-1.2, 0, 0, 0.3), (0, 1.2, -0.3, 0), (0, 1.2, 0, 0.3)]),
+        ((-0.5, 0.5, 0.1, 1.2), [(-0.5, 0, 0.1, 1.2), (0, 0.5, 0.1, 1.2)]),
+        ((-20, 20, 0, 20), [(-20, 0, 0, 20), (0, 20, 0, 20)]),
+        ((0.2, 1.3, -0.4, 0.4), [(0.2, 1.3, -0.4, 0), (0.2, 1.3, 0, 0.4)]),
+        # Touching an axis only at an edge is not crossing it.
+        ((0, 2, 0, 2), [(0, 2, 0, 2)]),
+        ((-2, 0, 0, 1.5), [(-2, 0, 0, 1.5)]),
+    ], ids=["both-centred", "both-thin", "imaginary-axis", "kept-half", "real-axis",
+            "corner-on-origin", "edges-on-axes"])
+    def test_every_cell_of_a_centred_region_lies_in_one_closed_quadrant(self, region, start):
+        result, calls = self.calls_of(region)
         assert result.converged and result.passes > 0
         np.testing.assert_allclose(calls[0].reshape(-1, 15, 15),
                                    [_node_grid(*cell) for cell in start], rtol=0, atol=1e-14)
@@ -380,17 +385,25 @@ class TestStartCells:
                 for part in (cell.real, cell.imag):
                     assert (part > 0).all() or (part < 0).all()
 
+    @pytest.mark.parametrize("region, start", [
+        ((-3, 2, -1, 2), [(-3, 2, -1, 2)]),
+        ((-1.2, 1.2, -0.2, 0.9), [(-1.2, 0, -0.2, 0.9), (0, 1.2, -0.2, 0.9)]),
+        ((-2, 1.5, -2, 2), [(-2, 1.5, -2, 0), (-2, 1.5, 0, 2)]),
+    ], ids=["both-off-centre", "x-centred", "y-centred"])
+    def test_an_axis_crossed_off_centre_is_not_cut(self, region, start):
+        # Only the axes that fold a region onto itself are cut; refinement
+        # alone cuts a cell across an axis crossed off its centre.
+        result, calls = self.calls_of(region)
+        assert result.converged
+        np.testing.assert_allclose(calls[0].reshape(-1, 15, 15),
+                                   [_node_grid(*cell) for cell in start], rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("max_cells", [1, 2, 3])
     def test_start_cells_beyond_the_budget_are_one_cell(self, max_cells):
-        calls = []
-
-        def f(z):
-            calls.append(z.shape)
-            return np.exp(-np.abs(z - 0.3) ** 2)
-
-        result = integrate_density(f, Rectangle(-1, 1, -1, 1), 1e-12, 1e-12, max_cells)
-        assert calls[0] == (15, 15)
+        result, calls = self.calls_of((-1, 1, -1, 1), max_cells)
+        assert calls[0].shape == (15, 15)
         assert result.cells_used == max_cells
+
 
 def _n2_mean_model():
     """Profile, basis and level of operation 0 of ``quad-n2-mean`` at seed 1."""
