@@ -318,6 +318,22 @@ def _parse_scalar(token: str):
     return token
 
 
+def _parse_list_item(token: str):
+    """``_parse_scalar(token)``, read by ``float`` where that gives the same number.
+
+    A list key reads every item as a float (``config_from_mapping``), and
+    ``float(token)`` is ``float(int(token))`` for an integer token, both
+    correctly rounded, with two exceptions that the fallback takes: an
+    integer past the float range, which overflows to inf here but is an
+    error there, and ``-0``, which is ``+0.0`` there.
+    """
+    try:
+        value = float(token)
+    except ValueError:
+        return _parse_scalar(token)
+    return value if value and math.isfinite(value) else _parse_scalar(token)
+
+
 def parse_flat_config(text: str) -> dict:
     """Parse the flat ``key = value`` configuration format."""
     out: dict = {}
@@ -642,7 +658,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if raw is None:
             continue
         if isinstance(f.default, tuple):
-            mapping[f.name] = [_parse_scalar(tok) for tok in raw.split(",") if tok.strip()]
+            mapping[f.name] = [_parse_list_item(tok) for tok in raw.split(",") if tok.strip()]
         else:
             mapping[f.name] = _parse_scalar(raw)
     return config_from_mapping(mapping)

@@ -386,14 +386,14 @@ def _zero_mean_h(forms, quotients, k1, k2):
     """Assemble the zero-mean closed form from its forms and ``_level_free_quotients``."""
     y1, y2, y3, det, d0, _, _, d3 = forms
     a1, a2, a12, s23, s12, s2 = quotients
-    q1 = k1 * y3 - k2 * y2
+    q1_det = (k1 * y3 - k2 * y2) / det
     q2 = k1 * y2 - k2 * y1
     r_d0 = (k1 * (y2 + y3) - k2 * (y1 + y2)) / d0
     braces = (
         d3
-        - a1 * (s23 - (q1 / det) * r_d0)
+        - a1 * (s23 - q1_det * r_d0)
         - a2 * (s12 - (q2 / det) * r_d0)
-        + a12 * (s2 - (q1 / det) * (q2 / d0))
+        + a12 * (s2 - q1_det * (q2 / d0))
     )
     expo = -(k1 * k1 * y3 + k2 * k2 * y1 - 2.0 * k1 * k2 * y2) / (2.0 * det)
     return np.exp(expo) / (2.0 * np.pi * d0) * braces

@@ -55,16 +55,33 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, e
 
 
+def _two_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_two_product(a, a)`` with one split of ``a``, bit for bit.
+
+    Its two cross terms a_hi*a_lo and a_lo*a_hi are one product, added twice
+    in the same order.
+    """
+    p = a * a
+    a_c = _SPLITTER * a
+    a_hi = a_c - (a_c - a)
+    a_lo = a - a_hi
+    cross = a_hi * a_lo
+    e = ((a_hi * a_hi - p) + cross + cross) + a_lo * a_lo
+    return p, e
+
+
 def diff_of_products(a, b, c, d):
     """Compute a*b - c*d with a single rounding-style accuracy.
 
     Safe head/tail evaluation of the cross-difference; avoids the massive
     cancellation that plain evaluation suffers when a*b is close to c*d.
+    A repeated operand, ``d is c`` as in the determinant y1*y3 - y2*y2, is
+    split once (``_two_square``), with the same result bit for bit.
     """
+    square = d is c
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
     p1, e1 = _two_product(a, b)
-    p2, e2 = _two_product(c, d)
+    p2, e2 = _two_square(c) if square else _two_product(c, np.asarray(d, dtype=np.float64))
     return (p1 - p2) + (e1 - e2)

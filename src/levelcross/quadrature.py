@@ -60,16 +60,18 @@ alone would.  The integrand is smooth away from degenerate points, so
 per-cell convergence is spectral and the deterministic result is
 independent of the stochastic verification path.
 
-The driver works one refinement pass at a time.  The cells are rows of
-arrays (corners, values, errors, split axes, fallback flags): a split cell's
-first child takes its row, and the others are appended.  The totals are
-``math.fsum`` sums, which are correctly rounded, so the row order cannot
-change the value or the error estimate; it only breaks ties when the cell
-budget truncates a pass.  A pass evaluates all its new cells together,
-``CELLS_PER_CALL`` cells per evaluator call, their 15x15 node grids stacked
-along axis 0.  The evaluator contract is therefore: pointwise, any 2-D
-complex grid in, real values of the same shape out.  A pass of one cell
-hands it one (15, 15) grid.
+The driver works one refinement pass at a time.  The cells are the rows of
+one table, each holding a cell's corners, value, error, split axis and
+fallback flag.  A pass updates it with one assignment and one
+concatenation: a split cell's first child takes its row, and the others
+are appended.  The totals are ``math.fsum`` sums, which are correctly
+rounded, so the row order cannot change the value or the error estimate;
+it only breaks ties when the cell budget truncates a pass.  A pass
+evaluates all its new cells together, ``CELLS_PER_CALL`` cells per
+evaluator call, their 15x15 node grids stacked along axis 0.  The
+evaluator contract is therefore: pointwise, any 2-D complex grid in, real
+values of the same shape out.  A pass of one cell hands it one (15, 15)
+grid.
 """
 
 from __future__ import annotations
@@ -164,6 +166,12 @@ CELLS_PER_CALL = 32
 # the halved area once the cell is resolved (see the module docstring).
 DOUBLE_SPLIT_FACTOR = 2**15
 
+# The columns of the cell table after the corners (x0, x1, y0, y1): the
+# Kronrod value, the error, 1 where the cut goes across x, and 1 where the
+# error is the Gauss error (see ``_evaluate_cells``).
+_VALUE, _ERROR, _ACROSS_X, _FALLBACK = 4, 5, 6, 7
+_COLUMNS = 8
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -189,19 +197,20 @@ class QuadratureResult:
     fallback_cells: int = 0
 
 
-def _evaluate_cells(
-    evaluator: Callable, boxes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Kronrod values, errors, split axes and fallback flags of ``boxes``.
+def _evaluate_cells(evaluator: Callable, boxes: np.ndarray) -> np.ndarray:
+    """The cell table of ``boxes``: corners, Kronrod value, error, split axis, fallback flag.
 
-    ``boxes`` holds one ``(x0, x1, y0, y1)`` row per cell.  The node grids
-    of all the cells are built in one broadcast and go to the evaluator
-    ``CELLS_PER_CALL`` cells at a time.  A cell's error is the decay
-    estimate of the module docstring where its coefficients pass the decay
-    test, else the Gauss error, and the fourth array is True where it is the
-    latter.  The third array is True where a cell is to be cut across x, the
-    axis with the larger one-axis error (Kronrod minus Gauss applied in that
-    axis only), or its longer axis on a tie.
+    ``boxes`` holds one ``(x0, x1, y0, y1)`` row per cell, and so do the
+    first four columns of the table; the others are named by ``_VALUE``,
+    ``_ERROR``, ``_ACROSS_X`` and ``_FALLBACK``.  The node grids of all the
+    cells are built in one broadcast and go to the evaluator
+    ``CELLS_PER_CALL`` cells at a time; when one call covers them all, its
+    output is used in place.  A cell's error is the decay estimate of the
+    module docstring where its coefficients pass the decay test, else the
+    Gauss error, and its fallback flag is 1 where it is the latter.  Its
+    split axis is 1 where it is to be cut across x, the axis with the larger
+    one-axis error (Kronrod minus Gauss applied in that axis only), or its
+    longer axis on a tie, else 0.
     """
     low, high = boxes[:, ::2], boxes[:, 1::2]  # (x0, y0) and (x1, y1)
     half = 0.5 * (high - low)
@@ -210,13 +219,15 @@ def _evaluate_cells(
     grid.real = axes[:, 0, :, None]
     grid.imag = axes[:, 1, None, :]
     grid = grid.reshape(-1, _NODES)
-    nodes = np.empty(grid.shape)
+    blocks = []
     for start in range(0, len(grid), _NODES * CELLS_PER_CALL):
         block = grid[start:start + _NODES * CELLS_PER_CALL]
-        values = np.asarray(evaluator(block), dtype=np.float64)
+        # Contiguous, so that the products below sum it as they sum a copy.
+        values = np.ascontiguousarray(evaluator(block), dtype=np.float64)
         if values.shape != block.shape:
             raise ConfigurationError("evaluator must return one real value per grid point")
-        nodes[start:start + len(block)] = values
+        blocks.append(values)
+    nodes = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     # All the cells' rows over y in one product, then the rows over x.
     full = _RULES @ (nodes @ _RULES.T).reshape(len(boxes), _NODES, len(_RULES))
     full *= (half[:, 0] * half[:, 1])[:, None, None]
@@ -237,8 +248,14 @@ def _evaluate_cells(
     decays = (ratio < 0.5 * base) & (first <= 1e-4 * scale)
     ratio /= np.where(decays, base, 1.0)
     estimate = np.minimum(np.maximum(last * ratio**3, 50.0 * _EPS * scale), gauss)
-    by_error = (x_errors > y_errors) | ((x_errors == y_errors) & (half[:, 0] >= half[:, 1]))
-    return kronrod, np.where(decays, estimate, np.maximum(gauss, last)), by_error, ~decays
+    table = np.empty((len(boxes), _COLUMNS))
+    table[:, :4] = boxes
+    table[:, _VALUE] = kronrod
+    table[:, _ERROR] = np.where(decays, estimate, np.maximum(gauss, last))
+    table[:, _ACROSS_X] = (x_errors > y_errors) | (
+        (x_errors == y_errors) & (half[:, 0] >= half[:, 1]))
+    table[:, _FALLBACK] = ~decays
+    return table
 
 
 # _CUTS[across_x][half] marks the bound a bisection moves to the midpoint:
@@ -319,12 +336,10 @@ def integrate_density(
     boxes = np.array([(*x, *y) for x in pairwise(xs) for y in pairwise(ys)], dtype=np.float64)
     if len(boxes) > max_cells:
         boxes = np.array([[x0, x1, y0, y1]], dtype=np.float64)
-    values, errors, across_x, fallback = _evaluate_cells(evaluator, boxes)
-    passes, evaluated = 0, len(boxes)
+    cells = _evaluate_cells(evaluator, boxes)
+    passes, evaluated, nonfinite = 0, len(cells), 0
     while True:
-        cells = len(boxes)
-        stats = dict(passes=passes, evaluations=_NODES * _NODES * evaluated,
-                     fallback_cells=int(np.count_nonzero(fallback)))
+        values, errors = cells[:, _VALUE], cells[:, _ERROR]
         # math.fsum returns a non-finite total, or raises, exactly when a cell
         # is not finite or a partial sum overflows.
         try:
@@ -332,16 +347,16 @@ def integrate_density(
         except (OverflowError, ValueError):  # a total past the range, or inf - inf
             total = error = math.inf
         if not (math.isfinite(total) and math.isfinite(error)):
+            total, error = sum(values.tolist()), sum(errors.tolist())
             nonfinite = int(np.count_nonzero(~(np.isfinite(values) & np.isfinite(errors))))
-            return QuadratureResult(sum(values.tolist()), sum(errors.tolist()), cells, False,
-                                    nonfinite_cells=nonfinite, **stats)
+            converged = False
+            break
         tolerance = max(abs_tol, rel_tol * abs(total))
-        if error <= tolerance:
-            return QuadratureResult(total, error, cells, True, **stats)
-        room = max_cells - cells
-        if room <= 0:
-            return QuadratureResult(total, error, cells, False, **stats)
-        share = tolerance / cells
+        converged = error <= tolerance
+        room = max_cells - len(cells)
+        if converged or room <= 0:
+            break
+        share = tolerance / len(cells)
         offenders = (errors > share).nonzero()[0]
         if not len(offenders):
             # Rounding can put every cell at its share while the sum is over.
@@ -350,18 +365,18 @@ def integrate_density(
             offenders = offenders[np.argsort(-errors[offenders], kind="stable")[:room]]
         # A double split adds two cells more than a bisection; the worst
         # cells far over their share get one while the budget has room.
-        parents, worst = boxes[offenders], errors[offenders]
+        parents, worst = cells[offenders], errors[offenders]
         spare = (room - len(offenders)) // 2
         far = (worst > DOUBLE_SPLIT_FACTOR * share).nonzero()[0]
         far = far[np.argsort(-worst[far], kind="stable")[:spare]]
         # Each split cell's first child takes its row; the others are appended.
-        children = _split(parents, across_x[offenders], far)
-        rows = (boxes, values, errors, across_x, fallback)
-        new_rows = (children, *_evaluate_cells(evaluator, children))
-        for old, new in zip(rows, new_rows):
-            old[offenders] = new[:len(offenders)]
-        boxes, values, errors, across_x, fallback = (
-            np.concatenate((old, new[len(offenders):])) for old, new in zip(rows, new_rows)
-        )
+        children = _evaluate_cells(evaluator, _split(parents[:, :4], parents[:, _ACROSS_X], far))
+        cells[offenders] = children[:len(offenders)]
+        cells = np.concatenate((cells, children[len(offenders):]))
         passes += 1
         evaluated += len(children)
+    return QuadratureResult(
+        total, error, len(cells), converged, passes=passes,
+        evaluations=_NODES * _NODES * evaluated, nonfinite_cells=nonfinite,
+        fallback_cells=int(np.count_nonzero(cells[:, _FALLBACK])),
+    )

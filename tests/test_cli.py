@@ -44,6 +44,28 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def plant_overflow(monkeypatch, radius=8.0):
+    """Make ``cli.density_field``'s fields overflow to inf beyond ``|z| = radius``.
+
+    A planted fault for the CLI's non-finite reporting: beyond the radius h
+    is multiplied by 1e300 twice, which passes the double range, so numpy
+    raises its overflow RuntimeWarning there, as the density's forms do at
+    high degree.  Inside it h is multiplied by 1.0 and unchanged.
+    """
+    field = cli.density_field
+
+    def overflowing_field(*args, **kwargs):
+        h, theorem = field(*args, **kwargs)
+
+        def overflowing(z):
+            scale = np.where(np.abs(z) > radius, 1e300, 1.0)
+            return h(z) * scale * scale
+
+        return overflowing, theorem
+
+    monkeypatch.setattr(cli, "density_field", overflowing_field)
+
+
 class TestFlatConfig:
     def test_round_trip_identity(self):
         config = RunConfig(
@@ -139,13 +161,14 @@ class TestDensityCommand:
         assert sum(np.isnan(v) for v in values) == 1
         assert all(v >= 0 for v in values if not np.isnan(v))
 
-    def test_overflowed_cells_exit_4(self, capsys):
-        # At degree 80 out to |z| = 20 the forms pass the double range in 18
-        # of the 20 cells; they count with the degenerate ones.
+    def test_overflowed_cells_exit_4(self, capsys, monkeypatch):
+        # The planted overflow beyond |z| = 8 makes 18 of the 20 cells
+        # infinite, all but (0, +-20/3); they count with the degenerate ones.
+        plant_overflow(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code, out, err = run_cli(
-                ["density", "--degree", "80", "--theorem", "2", "--k1=1", "--k2=0.5",
+                ["density", "--theorem", "2", "--k1=1", "--k2=0.5",
                  "--x-min=-20", "--x-max=20", "--y-min=-20", "--y-max=20", "--nx", "5", "--ny", "4"],
                 capsys)
         values = [float(row.split(",")[2]) for row in out.strip().split("\n")[1:]]
@@ -153,13 +176,14 @@ class TestDensityCommand:
         assert (code, len(values), undefined) == (4, 20, 18)
         assert "degenerate" in err and f" {undefined} " in err
 
-    def test_reported_overflow_stays_off_stderr(self, capsys):
+    def test_reported_overflow_stays_off_stderr(self, capsys, monkeypatch):
         # The count line reports the overflow, so numpy's warnings about it
         # are not repeated on stderr.
+        plant_overflow(monkeypatch)
         with warnings.catch_warnings(record=True) as shown:
             warnings.simplefilter("always")
             code, _, err = run_cli(
-                ["density", "--degree", "80", "--theorem", "2", "--k1=1", "--k2=0.5",
+                ["density", "--theorem", "2", "--k1=1", "--k2=0.5",
                  "--x-min=-20", "--x-max=20", "--y-min=-20", "--y-max=20", "--nx", "5", "--ny", "4"],
                 capsys)
         assert (code, err, shown) == (4, "warning: 18 grid cells degenerate or not finite\n", [])
@@ -291,12 +315,14 @@ class TestScalarCommands:
         assert payload["converged"] is True
         assert abs(payload["value"] - 80.0) < 1e-2
 
-    def test_overflow_is_reported_in_diagnostics(self, capsys):
-        # Theorem 2 overflows over [-20, 20]^2 at degree 80: the kept quadrant's
-        # one cell is not finite, and so are its three mirror images.
+    def test_overflow_is_reported_in_diagnostics(self, capsys, monkeypatch):
+        # The planted overflow beyond |z| = 8 reaches nodes of the kept
+        # quadrant's one start cell, [0, 20]^2: that cell is not finite, and
+        # so are its three mirror images.
+        plant_overflow(monkeypatch)
         with np.errstate(all="ignore"):
             code, out, _ = run_cli(
-                ["expect", "--degree", "80", "--theorem", "2", "--x-min=-20", "--x-max=20",
+                ["expect", "--theorem", "2", "--x-min=-20", "--x-max=20",
                  "--y-min=-20", "--y-max=20"], capsys
             )
         assert code == 6
@@ -306,10 +332,11 @@ class TestScalarCommands:
         assert diagnostics["fold_weight"] == 4
         assert 0 < diagnostics["nonfinite_cells"] <= diagnostics["cells_used"]
 
-    def test_reported_overflow_stays_off_stderr(self, capsys):
+    def test_reported_overflow_stays_off_stderr(self, capsys, monkeypatch):
         # The overflow is reported as non-finite cells, so numpy's warnings
         # about it are not repeated on stderr.
-        argv = ["expect", "--degree", "80", "--theorem", "2", "--k1", "1", "--k2", "0.5",
+        plant_overflow(monkeypatch)
+        argv = ["expect", "--theorem", "2", "--k1", "1", "--k2", "0.5",
                 "--x-min=-20", "--x-max=20", "--y-min=-20", "--y-max=20"]
         with warnings.catch_warnings(record=True) as shown:
             warnings.simplefilter("always")
@@ -653,6 +680,27 @@ class TestFlagsAndConfigFiles:
             code, out, err = run_cli(["density", "--ny", "2", *argv], capsys)
             assert (code, out) == (2, "")
             assert err.startswith("error:")
+
+    @pytest.mark.parametrize("raw", [
+        " 1.5, 2 ,3", "1,,2,", ",", "true,1", '"1.5",2', "1_000,2", "0x10",
+        "1" + "0" * 400, "-" + "9" * 400, "nan,inf,-inf", "-0,0,-0.0,-0_0", "1e400,1e-400",
+        "+2,007,9007199254740993", "2,abc",
+    ], ids=["spaces", "empty-and-trailing", "only-commas", "true", "quoted", "underscore", "hex",
+            "int-past-range", "negative-int-past-range", "nan-inf", "zeros", "float-range",
+            "int-forms", "text"])
+    def test_list_flag_reads_as_the_scalar_parser(self, raw):
+        # A list flag's float shortcut gives the RunConfig, or the error
+        # message, of reading every item with _parse_scalar; repr tells -0.0
+        # from 0.0 and reads NaN as NaN.
+        def outcome(read):
+            try:
+                return repr(read())
+            except ConfigurationError as exc:
+                return f"error: {exc}"
+
+        items = [cli._parse_scalar(token) for token in raw.split(",") if token.strip()]
+        assert (outcome(lambda: resolve([f"--mu-a={raw}"]))
+                == outcome(lambda: config_from_mapping({"mu_a": items})))
 
     @pytest.mark.parametrize("argv, limit", [
         (["expect", "--degree", "100000000"], 2000),

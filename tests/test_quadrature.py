@@ -251,7 +251,8 @@ class TestPassBatching:
     ], ids=["x-only-tall", "y-only-wide", "tie-wide"])
     def test_split_follows_the_larger_axis_error(self, integrand, region, across_x, centres):
         box = np.array([[region.x_min, region.x_max, region.y_min, region.y_max]])
-        assert quadrature._evaluate_cells(integrand, box)[2].tolist() == [across_x]
+        table = quadrature._evaluate_cells(integrand, box)
+        assert table[:, quadrature._ACROSS_X].tolist() == [across_x]
         calls = []
 
         def f(z):
