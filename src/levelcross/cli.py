@@ -268,9 +268,10 @@ def expected_count(
     its two terms share one table of basis values and one set of quadratic
     forms per point, and where the law is its own conjugate (every mu_b zero
     and K real, or theorem 3) it is h, bit for bit.  It uses ``abs_tol /
-    weight``, the same ``rel_tol`` and ``max_cells // weight``, so a cell's
-    share of the tolerance reads as over the whole region, and scales the
-    value, error estimate and cell counts back by the weight; ``evaluations``
+    weight``, the same ``rel_tol`` and ``max_cells // weight``, so the
+    weight times the part's error estimate and cells is held to the whole
+    region's tolerance and budget, and scales the value, error estimate and
+    cell counts back by the weight; ``evaluations``
     and ``passes`` are those that ran.  A cell budget below the weight
     integrates h over the whole region.  numpy's warnings from the evaluator
     are held back, and shown only if no cell is non-finite: otherwise

@@ -212,14 +212,15 @@ class TestPassBatching:
         assert (result.passes, result.evaluations) == (0, 225)
 
     @pytest.mark.parametrize("integrand, region, tols, max_cells, pinned, value_rtol", [
-        # Truncated by max_cells: the worst cells are split first.
+        # Truncated by max_cells: the worst cells are split first.  A
+        # converged run reads 43.824.
         (lambda z: 1.0 / (1e-6 + (z.real - 0.3) ** 2 + (z.imag + 0.1) ** 2),
          Rectangle(-1.0, 1.0, -1.0, 1.0), (1e-12, 1e-12), 77,
-         dict(cells_used=77, value=49.92832814838607), 1e-13),
+         dict(cells_used=77, value=44.78992369966425), 1e-13),
         # Integer bounds: midpoints must not truncate.
         (lambda z: np.exp(-4 * np.abs(z - (0.5 + 0.25j)) ** 2) * (1 + z.real**2),
          Rectangle(-3, 2, -1, 2), (1e-11, 1e-11), 20000,
-         dict(cells_used=50, value=1.0796562386577573), 1e-13),
+         dict(cells_used=34, value=1.0796562386577573, evaluations=12375), 1e-13),
         # The conjugate-pair mean at N = 2 with means over the kept half of
         # [-20, 20]^2, as ``expect`` runs it on a ``quad-n2-mean`` operation:
         # pinned bit for bit, error estimate and counts included.  The start
@@ -228,7 +229,14 @@ class TestPassBatching:
          Rectangle(-20, 20, 0, 20), (5e-9, 1e-8), 20000,
          dict(cells_used=26, value=0.9982053400137022, error_estimate=1.8178837682322662e-09,
               passes=4, evaluations=7650, fallback_cells=0), 0.0),
-    ], ids=["truncated", "integer-bounds", "n2-mean-half"])
+        # Theorem 2's conjugate-pair mean at N = 40 over the kept quadrant of
+        # [-20, 20]^2, as ``expect`` runs it on a ``quad-n40`` operation:
+        # pinned bit for bit in the same way.
+        (lambda z: zero_mean_density(*_N40_MODEL, z, mirror=True).h,
+         Rectangle(0, 20, 0, 20), (2.5e-9, 1e-8), 20000,
+         dict(cells_used=63, value=9.999525141218717, error_estimate=9.727673026732491e-08,
+              passes=9, evaluations=21825, fallback_cells=0), 0.0),
+    ], ids=["truncated", "integer-bounds", "n2-mean-half", "n40-quadrant"])
     def test_refinement_is_pinned(self, integrand, region, tols, max_cells, pinned, value_rtol):
         # Pinned numbers: which cells are refined is a fixed function of the
         # integrand, the region and the tolerances.
@@ -237,6 +245,20 @@ class TestPassBatching:
         assert abs(result.value - pinned["value"]) <= value_rtol * abs(pinned["value"])
         counts = {name: want for name, want in pinned.items() if name != "value"}
         assert {name: getattr(result, name) for name in counts} == counts
+
+    @pytest.mark.parametrize("tolerance, room, split", [
+        # Splitting the 5 and one 3 leaves 5 <= 6, splitting both 3s leaves
+        # 2 <= 4: either way the cut takes the whole run of 3s.
+        (4.0, 20, [2, 1, 4]),
+        (6.0, 20, [2, 1, 4]),
+        # Splitting the 5 alone leaves 8, at most the tolerance.
+        (8.0, 20, [2]),
+        # A budget of two takes the 5 and the first 3 in row order.
+        (4.0, 2, [2, 1]),
+    ], ids=["tol-4", "tol-6", "tol-8", "room-2"])
+    def test_ranked_cut_takes_the_worst_cells_and_whole_ties(self, tolerance, room, split):
+        errors = np.array([1.0, 3.0, 5.0, 1.0, 3.0])
+        assert quadrature._worst_cells(errors, tolerance, room).tolist() == split
 
     @pytest.mark.parametrize("integrand, region, across_x, centres", [
         # Varies only in x, over a tall cell: cut across x, the shorter axis.
@@ -415,6 +437,16 @@ def _n2_mean_model():
 
 
 _N2_MEAN_MODEL = _n2_mean_model()
+
+
+def _n40_model():
+    """Profile, basis and level of operation 0 of ``quad-n40`` at seed 1."""
+    rng = np.random.default_rng([1, 0])
+    var_a, var_b = rng.uniform(0.5, 2.0, 41), rng.uniform(0.5, 2.0, 41)
+    return CoefficientProfile(0, var_a, 0, var_b), MonomialBasis(40), ComplexLevel(1.0, 0.5)
+
+
+_N40_MODEL = _n40_model()
 
 
 def _count_over_square(degree: int, with_means: bool):
